@@ -21,13 +21,13 @@ CHAOS_FLAGS := -scale $(REPLAY_SCALE) -replay $(REPLAY_FIXTURE) -only "$(REPLAY_
 # version via `make staticcheck-install`.
 STATICCHECK_VERSION := 2024.1.1
 
-.PHONY: check lint fmt vet llmsqlvet build test race staticcheck staticcheck-install bench baseline bench-check replay-check replay-fixture chaos-check fuzz docs-check
+.PHONY: check lint fmt vet benchvet llmsqlvet build test race staticcheck staticcheck-install bench baseline bench-check replay-check replay-fixture chaos-check fuzz docs-check
 
 ## check: everything the CI lint+test jobs run
-check: fmt vet llmsqlvet build race docs-check
+check: fmt vet benchvet llmsqlvet build race docs-check
 
 ## lint: the static gates only (no tests)
-lint: fmt vet llmsqlvet
+lint: fmt vet benchvet llmsqlvet
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -35,6 +35,10 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+## benchvet: vet and build the llmbench module, which the root ./... patterns skip (it is a nested module)
+benchvet:
+	cd llmbench && $(GO) vet . && $(GO) build -o /dev/null .
 
 ## llmsqlvet: the project-invariant analyzers (mapiter, walltime, lockheld, errwrap)
 llmsqlvet:

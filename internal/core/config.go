@@ -208,12 +208,6 @@ type Config struct {
 	// strict subset (in the same order) otherwise. Only retryable failures
 	// degrade; fatal errors still abort the query.
 	PartialResults bool
-
-	// sharedFaultLayer marks a session config built by EngineGroup.Session:
-	// the Retrier (and Chaos) live in the shared stack below the coalescer,
-	// so Open must not add a second retry tier on top — stacked retriers
-	// would multiply attempt budgets.
-	sharedFaultLayer bool
 }
 
 // DefaultConfig returns the configuration used by the paper-style runs:

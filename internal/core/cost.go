@@ -108,7 +108,8 @@ func keySelectivity(filter sql.Expr, keyName string, rows int) float64 {
 // means the scan replays warm (rate 1); all probes cold means rate 0.
 // Callers must hold s.mu or own the table exclusively.
 func (s *LLMStore) warmHitRate(t *VirtualTable, cols []int, filter sql.Expr) float64 {
-	if s.disk == nil {
+	disk := s.stack.disk
+	if disk == nil {
 		return 0
 	}
 	keyName := t.Schema.Col(t.Schema.KeyIndexes()[0]).Name
@@ -119,7 +120,7 @@ func (s *LLMStore) warmHitRate(t *VirtualTable, cols []int, filter sql.Expr) flo
 		buildKeysPrompt(t, keyFilter, nil, 0),
 	}
 	for _, prompt := range probes {
-		if s.disk.Contains(llm.CompletionRequest{
+		if disk.Contains(llm.CompletionRequest{
 			Prompt:      prompt,
 			MaxTokens:   s.cfg.MaxCompletionTokens,
 			Temperature: s.cfg.Temperature,

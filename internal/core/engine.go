@@ -20,14 +20,14 @@ import (
 // out. Virtual (LLM-backed) tables and local row-store tables can be mixed
 // freely in one query (hybrid execution).
 type Engine struct {
-	store   *LLMStore
-	model   *llm.CountingModel
-	cache   *llm.CacheModel // optional, per Config.CacheCapacity
-	disk    *llm.DiskCache  // optional, per Config.CacheDir
-	retrier *llm.Retrier    // fault tolerance, always present below the caches
-	chaos   *llm.Chaos      // optional, per Config.Chaos
-	local   *storage.DB     // optional
-	plans   *planCache      // optional, per Config.PlanCacheCapacity
+	store *LLMStore
+	model *llm.CountingModel // billing: this engine's Usage
+	// shared marks an EngineGroup session: the backend stack below the
+	// engine's own layers belongs to the group, so Close and CostModel
+	// leave it alone.
+	shared bool
+	local  *storage.DB // optional
+	plans  *planCache  // optional, per Config.PlanCacheCapacity
 	// gen is the catalog generation: bumped whenever a change could make a
 	// cached plan wrong (table registered, local store attached or written,
 	// cost model replaced, materialized view created/refreshed/dropped or
@@ -57,59 +57,31 @@ func New(model llm.Model, cfg Config) *Engine {
 	return e
 }
 
-// Open builds an engine over the model, assembling the backend stack the
-// configuration asks for — outermost first:
-//
-//	CountingModel                       usage accounting (always)
-//	CacheModel                          Config.CacheCapacity != 0
-//	DiskCache                           Config.CacheDir != ""
-//	Retrier                             fault tolerance (always)
-//	Chaos                               Config.Chaos enabled
-//	trace recorder | trace replayer     Config.RecordTrace / ReplayTrace
-//	model                               the base backend
-//
-// The counting wrapper sits outside every cache, so hits are counted as
-// calls but charged zero latency and dollars. The Retrier sits below the
-// caches — a cache hit can never fault, and a retried answer is cached
-// once — and above the fault injector, so retries see fresh fault draws.
-// Chaos sits above the trace layer: recorded traces hold only clean
-// completions, and a replayed suite can still be stressed with injected
-// faults. A replay trace substitutes the base model entirely (only its
-// name is used); a record trace captures exactly the traffic the caches
-// let through.
+// Open builds an engine over the model: the backend stack the
+// configuration asks for (buildStack; DESIGN.md "Backends and the
+// completion-cache hierarchy" draws it), with the engine's own optional
+// CacheModel (Config.CacheCapacity != 0) and billing CountingModel on top.
+// The billing counter sits outside every cache, so hits are counted as
+// calls but charged zero latency and dollars.
 func Open(model llm.Model, cfg Config) (*Engine, error) {
-	base := model
-	switch {
-	case cfg.ReplayTrace != nil:
-		base = cfg.ReplayTrace.Replay(model.Name())
-	case cfg.RecordTrace != nil:
-		base = cfg.RecordTrace.Record(model)
+	st, err := buildStack(model, cfg)
+	if err != nil {
+		return nil, err
 	}
-	var chaos *llm.Chaos
-	if cfg.Chaos.Enabled() {
-		chaos = llm.NewChaos(base, cfg.Chaos)
-		base = chaos
-	}
-	var retrier *llm.Retrier
-	if !cfg.sharedFaultLayer {
-		retrier = llm.NewRetrier(base, cfg.Retry)
-		base = retrier
-	}
-	var disk *llm.DiskCache
-	if cfg.CacheDir != "" {
-		var err error
-		disk, err = llm.NewDiskCache(base, cfg.CacheDir, cfg.CacheMaxBytes)
-		if err != nil {
-			return nil, fmt.Errorf("core: open cache dir %q: %w", cfg.CacheDir, err)
-		}
-		base = disk
-	}
+	return newEngine(st, cfg, false), nil
+}
+
+// newEngine puts an engine's own layers on an assembled stack: the
+// optional in-memory CacheModel, the billing CountingModel and the plan
+// cache. shared marks a group session, whose stack the group owns.
+func newEngine(st *backendStack, cfg Config, shared bool) *Engine {
+	top := st.top
 	var cache *llm.CacheModel
 	if cfg.CacheCapacity != 0 {
-		cache = llm.NewCacheSized(base, cfg.CacheCapacity)
-		base = cache
+		cache = llm.NewCacheSized(top, cfg.CacheCapacity)
+		top = cache
 	}
-	counting := llm.NewCounting(base)
+	counting := llm.NewCounting(top)
 	var plans *planCache
 	switch {
 	case cfg.PlanCacheCapacity > 0:
@@ -118,37 +90,36 @@ func Open(model llm.Model, cfg Config) (*Engine, error) {
 		plans = newPlanCache(DefaultPlanCacheCapacity)
 	}
 	return &Engine{
-		store:   NewLLMStore(counting, cfg),
-		model:   counting,
-		cache:   cache,
-		disk:    disk,
-		retrier: retrier,
-		chaos:   chaos,
-		plans:   plans,
-	}, nil
+		store:  newLLMStore(counting, cache, st, cfg),
+		model:  counting,
+		shared: shared,
+		plans:  plans,
+	}
 }
 
 // Close releases resources held by the backend stack (the persistent
 // cache's segment file). The engine must not be used after Close; engines
-// without a Config.CacheDir need not be closed.
+// without a Config.CacheDir need not be closed. Closing an EngineGroup
+// session releases nothing: the group owns the shared stack.
 func (e *Engine) Close() error {
-	if e.disk == nil {
+	if e.shared {
 		return nil
 	}
-	return e.disk.Close()
+	return e.store.stack.close()
 }
 
 // CostModel replaces the simulated cost constants, for both accounting and
 // the scan planner's strategy pricing (they always share constants). Cached
 // plans are invalidated: their scan-strategy decisions were priced under the
-// old constants.
+// old constants. A solo engine also reprices its stack's live counter and
+// Retrier (failed attempts, backoff and hedge races in virtual time); a
+// group session reprices only its own billing.
 func (e *Engine) CostModel(c llm.CostModel) {
 	e.model.Cost = c
 	e.store.SetCostModel(c)
-	if e.retrier != nil {
-		// The Retrier prices failed attempts, backoff and hedge races in
-		// virtual time under the same constants.
-		e.retrier.SetCost(c)
+	if !e.shared {
+		e.store.stack.live.Cost = c
+		e.store.stack.retrier.SetCost(c)
 	}
 	e.invalidatePlans()
 }
@@ -177,37 +148,35 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 // CacheStats reports the completion cache's counters (the zero value when
 // no cache is configured).
 func (e *Engine) CacheStats() llm.CacheStats {
-	if e.cache == nil {
+	if e.store.cache == nil {
 		return llm.CacheStats{}
 	}
-	return e.cache.CacheStats()
+	return e.store.cache.CacheStats()
 }
 
 // DiskCacheStats reports the persistent prompt cache's counters and
-// occupancy (the zero value when no Config.CacheDir is configured).
+// occupancy (the zero value when no Config.CacheDir is configured). A group
+// session reports the group's shared cache.
 func (e *Engine) DiskCacheStats() llm.DiskCacheStats {
-	if e.disk == nil {
+	if e.store.stack.disk == nil {
 		return llm.DiskCacheStats{}
 	}
-	return e.disk.Stats()
+	return e.store.stack.disk.Stats()
 }
 
 // RetrierStats reports the fault-tolerance layer's recovery counters
-// (all zero on a healthy stack).
+// (all zero on a healthy stack; the group's shared Retrier for a session).
 func (e *Engine) RetrierStats() llm.RetrierStats {
-	if e.retrier == nil {
-		return llm.RetrierStats{}
-	}
-	return e.retrier.Stats()
+	return e.store.stack.retrier.Stats()
 }
 
 // ChaosStats reports the fault injector's counters (the zero value when
 // Config.Chaos is disabled).
 func (e *Engine) ChaosStats() llm.ChaosStats {
-	if e.chaos == nil {
+	if e.store.stack.chaos == nil {
 		return llm.ChaosStats{}
 	}
-	return e.chaos.Stats()
+	return e.store.stack.chaos.Stats()
 }
 
 // Config returns the engine's configuration.

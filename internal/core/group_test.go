@@ -167,3 +167,79 @@ func TestGroupCloseSessionFoldsBilledUsage(t *testing.T) {
 		t.Fatalf("billed calls = %d, want %d", after.Billed.Calls, res.Usage.Calls)
 	}
 }
+
+// TestSessionSeesSharedStack checks that a session reaches the group's
+// shared layers through its own engine API — the view-refresh probe, cache
+// invalidation and DiskCacheStats all report the shared persistent cache —
+// and that closing or repricing a session leaves those layers alone.
+func TestSessionSeesSharedStack(t *testing.T) {
+	w := testWorld()
+	cfg := viewTestConfig()
+	cfg.Temperature = 0 // single deterministic enumeration round
+	cfg.Votes = 1
+	cfg.CacheDir = t.TempDir()
+	g, err := NewEngineGroup(llm.NewSynthLM(w, llm.ProfileMedium, 7), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for _, name := range w.DomainNames() {
+		g.RegisterWorldDomain(w.Domain(name))
+	}
+
+	s := g.Session()
+	if err := s.Exec("CREATE MATERIALIZED VIEW v AS SELECT name, capital FROM country"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Exec("REFRESH MATERIALIZED VIEW v"); err != nil {
+		t.Fatal(err)
+	}
+	shared := g.Stats().DiskCache
+	if shared.Entries == 0 {
+		t.Fatalf("shared disk cache is empty after the build: %+v", shared)
+	}
+	info, _ := s.View("v")
+	if info.LastWarmFingerprints != shared.Entries || info.LastColdFingerprints == 0 {
+		// Every persisted completion is warm; the manifest also holds
+		// requests the build never issued (cold).
+		t.Fatalf("refresh probe saw %d warm / %d cold, shared cache holds %d",
+			info.LastWarmFingerprints, info.LastColdFingerprints, shared.Entries)
+	}
+	if got := s.DiskCacheStats(); got != shared {
+		t.Fatalf("session DiskCacheStats = %+v, want the shared cache's %+v", got, shared)
+	}
+	reqs, err := s.ViewRequests("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.InvalidateCachedCompletions(reqs...); n != shared.Entries {
+		t.Fatalf("invalidated %d of %d shared entries (manifest %d)", n, shared.Entries, len(reqs))
+	}
+
+	// Repricing and closing the session must not touch the shared layers.
+	liveCost := g.stack.live.Cost
+	pricey := llm.DefaultCostModel()
+	pricey.CompletionUSDPerMTok *= 10
+	s.CostModel(pricey)
+	if g.stack.live.Cost != liveCost {
+		t.Fatal("session CostModel repriced the group's live counter")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g.CloseSession(s)
+	s2 := g.Session()
+	if _, err := s2.Query("SELECT name, population FROM country"); err != nil {
+		t.Fatal(err)
+	}
+	if after := g.Stats().DiskCache; after.WriteErrors != 0 || after.Entries == 0 {
+		t.Fatalf("shared disk cache stopped persisting after a session Close: %+v", after)
+	}
+
+	// A solo engine owns its stack, so its CostModel does reprice it.
+	solo := New(llm.NewSynthLM(w, llm.ProfileMedium, 7), viewTestConfig())
+	solo.CostModel(pricey)
+	if solo.store.stack.live.Cost != pricey {
+		t.Fatal("solo CostModel left its live counter unrepriced")
+	}
+}

@@ -119,9 +119,8 @@ func (s ScanStats) Label() string {
 // It is safe for concurrent use.
 type LLMStore struct {
 	model llm.Model
-	cache *llm.CacheModel // in-memory completion cache in the model chain, if any
-	disk  *llm.DiskCache  // persistent prompt cache in the model chain, if any
-	coal  *llm.Coalescer  // serving-mode request coalescer in the chain, if any
+	cache *llm.CacheModel // in-memory completion cache under model, if any
+	stack *backendStack   // the layers under cache: disk cache, coalescer
 	cfg   Config
 	// costModel prices candidate decompositions for the scan planner; it
 	// mirrors the accounting CostModel (Engine.CostModel keeps them in
@@ -137,12 +136,20 @@ type LLMStore struct {
 }
 
 // NewLLMStore builds a store over the model with the given configuration.
+// The model is used as it is: the store sees no cache layers in it, so its
+// ScanStats cache counters stay zero (engines build stores with their
+// stack's handles instead).
 func NewLLMStore(model llm.Model, cfg Config) *LLMStore {
+	return newLLMStore(model, nil, &backendStack{top: model}, cfg)
+}
+
+// newLLMStore builds a store over model, an engine's billing counter on
+// top of cache (optional) and the stack.
+func newLLMStore(model llm.Model, cache *llm.CacheModel, st *backendStack, cfg Config) *LLMStore {
 	return &LLMStore{
 		model:     model,
-		cache:     llm.FindCache(model),
-		disk:      llm.FindDiskCache(model),
-		coal:      llm.FindCoalescer(model),
+		cache:     cache,
+		stack:     st,
 		cfg:       cfg.normalize(),
 		costModel: llm.DefaultCostModel(),
 		tables:    make(map[string]*VirtualTable),
@@ -402,7 +409,7 @@ func (sc *llmScan) countCache(resp llm.CompletionResponse) {
 			sc.stats.CacheMisses++
 		}
 	}
-	if sc.store.disk != nil {
+	if sc.store.stack.disk != nil {
 		if resp.DiskCached {
 			sc.stats.DiskHits++
 			sc.stats.DiskBytes += resp.DiskBytes
@@ -410,7 +417,7 @@ func (sc *llmScan) countCache(resp llm.CompletionResponse) {
 			sc.stats.DiskMisses++
 		}
 	}
-	if sc.store.coal != nil && resp.Coalesced {
+	if sc.store.stack.coal != nil && resp.Coalesced {
 		sc.stats.CoalescedHits++
 	}
 	if resp.Attempts > 1 {

@@ -210,9 +210,9 @@ func (e *Engine) refreshView(name string) error {
 	// set: the warm/cold split is the refresh's expected cost, surfaced in
 	// ViewInfo before any model traffic happens.
 	warm, cold := 0, 0
-	if e.disk != nil {
+	if disk := e.store.stack.disk; disk != nil {
 		for _, req := range e.viewRequests(v) {
-			if e.disk.Contains(req) {
+			if disk.Contains(req) {
 				warm++
 			} else {
 				cold++
@@ -593,12 +593,13 @@ func (e *Engine) ViewRequests(name string) ([]llm.CompletionRequest, error) {
 // using an in-memory completion cache (Config.CacheCapacity) may still
 // serve invalidated prompts from memory within the same process.
 func (e *Engine) InvalidateCachedCompletions(reqs ...llm.CompletionRequest) int {
-	if e.disk == nil {
+	disk := e.store.stack.disk
+	if disk == nil {
 		return 0
 	}
 	n := 0
 	for _, req := range reqs {
-		if e.disk.Invalidate(req) {
+		if disk.Invalidate(req) {
 			n++
 		}
 	}

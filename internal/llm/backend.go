@@ -10,19 +10,24 @@ import (
 // that completes prompts — the same contract as Model; the two names are
 // aliases. "Backend" is used when talking about the bottom of the stack and
 // the persistence layers above it, "Model" when talking about the
-// engine-facing top. The full stack, outermost first:
+// engine-facing top. The wrappers of this package, outermost first as the
+// engine stacks them:
 //
-//	CountingModel          usage accounting (always outermost)
-//	CacheModel             in-memory bounded LRU (Config.CacheCapacity)
+//	CountingModel          usage accounting (billing)
+//	CacheModel             in-memory bounded LRU
+//	Coalescer              cross-session request coalescing (serving only)
 //	DiskCache              persistent content-addressed prompt cache
+//	Retrier                retry, backoff, circuit breaker and hedging
+//	CountingModel          live usage that reaches the backend
+//	Chaos                  seeded fault injection
 //	Recorder | Replayer    trace capture / deterministic playback
 //	SynthLM (or any API)   the base backend
 //
-// Every layer implements Unwrapper, so capabilities can be located
-// regardless of stacking order (FindCache, FindDiskCache). All persistent
-// layers address completions by Fingerprint, the versioned content hash of
-// (model id, prompt, decode parameters) — two requests share an answer
-// exactly when their fingerprints match.
+// The engine package assembles the stack and keeps a typed handle to each
+// layer it needs (DESIGN.md "Backends and the completion-cache hierarchy").
+// All persistent layers address completions by Fingerprint, the versioned
+// content hash of (model id, prompt, decode parameters) — two requests
+// share an answer exactly when their fingerprints match.
 
 // Backend is a pluggable completion provider. It is the same interface as
 // Model under the name used for the storage side of the stack: SynthLM, a

@@ -68,9 +68,6 @@ func NewCacheSized(m Model, capacity int) *CacheModel {
 // Name implements Model.
 func (c *CacheModel) Name() string { return c.Inner.Name() }
 
-// Unwrap implements Unwrapper.
-func (c *CacheModel) Unwrap() Model { return c.Inner }
-
 // Complete implements Model. The lock is released around the inner call so
 // misses for distinct prompts proceed concurrently; two simultaneous misses
 // for the same key both call the model (deterministic models return the same

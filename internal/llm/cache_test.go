@@ -107,17 +107,3 @@ func TestCountingChargesNothingForCachedCalls(t *testing.T) {
 		t.Fatalf("cached call must be free: cold %+v warm %+v", cold, warm)
 	}
 }
-
-func TestFindCache(t *testing.T) {
-	inner := &echoModel{}
-	cache := NewCache(inner)
-	if FindCache(NewCounting(cache)) != cache {
-		t.Fatal("cache inside counting not found")
-	}
-	if FindCache(NewCounting(inner)) != nil {
-		t.Fatal("found a cache where there is none")
-	}
-	if FindCache(cache) != cache {
-		t.Fatal("bare cache not found")
-	}
-}

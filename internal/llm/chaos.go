@@ -121,9 +121,6 @@ func NewChaos(inner Model, profile ChaosProfile) *Chaos {
 // Name implements Model.
 func (c *Chaos) Name() string { return c.Inner.Name() }
 
-// Unwrap implements Unwrapper.
-func (c *Chaos) Unwrap() Model { return c.Inner }
-
 // Complete implements Model: it draws the fault class for this attempt
 // and either fails without touching the inner backend, passes through, or
 // passes through with SpikeLatency added to the response's FaultLatency.

@@ -209,9 +209,6 @@ func segIndexOf(path string) int {
 // Name implements Model.
 func (c *DiskCache) Name() string { return c.Inner.Name() }
 
-// Unwrap implements Unwrapper.
-func (c *DiskCache) Unwrap() Model { return c.Inner }
-
 // Complete implements Model. The lock is released around the inner call so
 // misses for distinct prompts proceed concurrently; two simultaneous misses
 // for the same fingerprint both call the model (deterministic backends
@@ -465,20 +462,4 @@ func (nopBackend) Name() string { return "nop" }
 // Complete implements Model.
 func (nopBackend) Complete(CompletionRequest) (CompletionResponse, error) {
 	return CompletionResponse{}, fmt.Errorf("llm: the nop backend does not complete prompts")
-}
-
-// FindDiskCache walks a wrapper chain and returns the first DiskCache, or
-// nil.
-func FindDiskCache(m Model) *DiskCache {
-	for m != nil {
-		if c, ok := m.(*DiskCache); ok {
-			return c
-		}
-		uw, ok := m.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		m = uw.Unwrap()
-	}
-	return nil
 }

@@ -231,17 +231,6 @@ func TestDiskCacheConcurrentAccountingConsistent(t *testing.T) {
 	}
 }
 
-func TestFindDiskCache(t *testing.T) {
-	inner := &echoModel{}
-	dc := mustDiskCache(t, inner, t.TempDir(), 0)
-	if FindDiskCache(NewCounting(NewCache(dc))) != dc {
-		t.Fatal("disk cache inside the stack not found")
-	}
-	if FindDiskCache(NewCounting(inner)) != nil {
-		t.Fatal("found a disk cache where there is none")
-	}
-}
-
 // TestDiskCacheCrashRecovery simulates a crash mid-append: the active
 // segment ends in a torn half-record, with stray garbage bytes behind it.
 // A reopen must not error or panic, must keep every intact record with

@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -132,6 +133,17 @@ func (c CostModel) Dollars(promptTokens, completionTokens int) float64 {
 		float64(completionTokens)/1e6*c.CompletionUSDPerMTok
 }
 
+// picoPerDollar is the resolution CountingModel accumulates spend in.
+const picoPerDollar = 1e12
+
+// picoDollars prices tokens in integer picodollars. CountingModel sums
+// these instead of float64 dollars: integer addition is associative, so
+// the total is the same whatever order concurrent calls complete in.
+func (c CostModel) picoDollars(promptTokens, completionTokens int) int64 {
+	return int64(math.Round(float64(promptTokens)*c.PromptUSDPerMTok*(picoPerDollar/1e6) +
+		float64(completionTokens)*c.CompletionUSDPerMTok*(picoPerDollar/1e6)))
+}
+
 // Usage accumulates model consumption across calls.
 type Usage struct {
 	Calls            int
@@ -213,27 +225,6 @@ type WallAdder interface {
 	AddWall(d time.Duration)
 }
 
-// Unwrapper exposes the next model in a wrapper chain (CountingModel,
-// CacheModel), so callers can locate a wrapper regardless of stacking order.
-type Unwrapper interface {
-	Unwrap() Model
-}
-
-// FindCache walks a wrapper chain and returns the first CacheModel, or nil.
-func FindCache(m Model) *CacheModel {
-	for m != nil {
-		if c, ok := m.(*CacheModel); ok {
-			return c
-		}
-		uw, ok := m.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		m = uw.Unwrap()
-	}
-	return nil
-}
-
 // CountingModel wraps a Model, accumulating Usage under a CostModel.
 type CountingModel struct {
 	Inner Model
@@ -241,6 +232,9 @@ type CountingModel struct {
 
 	mu    sync.Mutex
 	usage Usage
+	// pico is usage.SimDollars in integer picodollars, the exact running
+	// total SimDollars is derived from.
+	pico int64
 }
 
 // NewCounting wraps m with the default cost model.
@@ -250,9 +244,6 @@ func NewCounting(m Model) *CountingModel {
 
 // Name implements Model.
 func (c *CountingModel) Name() string { return c.Inner.Name() }
-
-// Unwrap implements Unwrapper.
-func (c *CountingModel) Unwrap() Model { return c.Inner }
 
 // Complete implements Model. Cached responses (see CacheModel) are counted
 // as calls but cost no tokens, latency or dollars; every response leaves
@@ -266,11 +257,11 @@ func (c *CountingModel) Complete(req CompletionRequest) (CompletionResponse, err
 		return resp, err
 	}
 	var lat time.Duration
-	var usd float64
+	var pico int64
 	if !resp.Cached {
 		lat = c.Cost.Latency(resp.PromptTokens, resp.CompletionTokens) + resp.FaultLatency
-		usd = c.Cost.Dollars(resp.PromptTokens, resp.CompletionTokens) +
-			c.Cost.Dollars(resp.WastedPromptTokens, resp.WastedCompletionTokens)
+		pico = c.Cost.picoDollars(resp.PromptTokens+resp.WastedPromptTokens,
+			resp.CompletionTokens+resp.WastedCompletionTokens)
 	}
 	resp.SimLatency = lat
 	c.mu.Lock()
@@ -293,7 +284,8 @@ func (c *CountingModel) Complete(req CompletionRequest) (CompletionResponse, err
 		c.usage.WastedCompletionTokens += resp.WastedCompletionTokens
 	}
 	c.usage.SimLatency += lat
-	c.usage.SimDollars += usd
+	c.pico += pico
+	c.usage.SimDollars = float64(c.pico) / picoPerDollar
 	c.mu.Unlock()
 	return resp, nil
 }
@@ -319,4 +311,5 @@ func (c *CountingModel) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.usage = Usage{}
+	c.pico = 0
 }

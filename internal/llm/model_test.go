@@ -2,6 +2,7 @@ package llm
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -129,5 +130,65 @@ func TestCountingModelConcurrent(t *testing.T) {
 	wg.Wait()
 	if cm.Usage().Calls != 400 {
 		t.Fatalf("concurrent calls: %d", cm.Usage().Calls)
+	}
+}
+
+// scriptedModel answers each prompt with a fixed response.
+type scriptedModel map[string]CompletionResponse
+
+func (m scriptedModel) Name() string { return "scripted" }
+
+func (m scriptedModel) Complete(req CompletionRequest) (CompletionResponse, error) {
+	return m[req.Prompt], nil
+}
+
+// TestCountingModelOrderIndependent passes the same responses through
+// CountingModel in different orders: the accumulated Usage — SimDollars
+// included — must be bit-identical, since concurrent scans complete calls
+// in whatever order the scheduler happens to pick.
+func TestCountingModelOrderIndependent(t *testing.T) {
+	script := scriptedModel{}
+	var prompts []string
+	for i := 0; i < 12; i++ {
+		p := fmt.Sprintf("p%d", i)
+		prompts = append(prompts, p)
+		script[p] = CompletionResponse{
+			PromptTokens:     97 + 13*i,
+			CompletionTokens: 7 + 5*i,
+			Attempts:         1 + i%3,
+			HedgeLaunched:    i%4 == 0,
+			FaultLatency:     time.Duration(i) * time.Millisecond,
+			// A losing hedge every few calls exercises wasted-token billing.
+			WastedPromptTokens:     (i % 3) * 11,
+			WastedCompletionTokens: (i % 3) * 3,
+		}
+	}
+	// Prices with no exact binary representation, so a float64 running sum
+	// would drift with the order of addition.
+	cost := DefaultCostModel()
+	cost.PromptUSDPerMTok = 0.15
+	cost.CompletionUSDPerMTok = 0.6
+
+	run := func(order []string) Usage {
+		cm := NewCounting(script)
+		cm.Cost = cost
+		for _, p := range order {
+			if _, err := cm.Complete(CompletionRequest{Prompt: p}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cm.Usage()
+	}
+	want := run(prompts)
+	if want.SimDollars <= 0 {
+		t.Fatalf("no spend accumulated: %+v", want)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		order := append([]string(nil), prompts...)
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		if got := run(order); got != want {
+			t.Fatalf("order %v: usage %+v, want %+v", order, got, want)
+		}
 	}
 }

@@ -164,9 +164,6 @@ func NewRetrier(inner Model, policy RetryPolicy) *Retrier {
 // Name implements Model.
 func (r *Retrier) Name() string { return r.Inner.Name() }
 
-// Unwrap implements Unwrapper.
-func (r *Retrier) Unwrap() Model { return r.Inner }
-
 // SetCost updates the cost model used to price failed attempts, backoff
 // and hedge races in virtual time.
 func (r *Retrier) SetCost(c CostModel) {
@@ -335,34 +332,4 @@ func backoffU(fp string, attempt int) float64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "backoff|%d|%s", attempt, fp)
 	return float64(h.Sum64()>>11) / float64(1<<53)
-}
-
-// FindRetrier walks a wrapper chain and returns the first Retrier, or nil.
-func FindRetrier(m Model) *Retrier {
-	for m != nil {
-		if r, ok := m.(*Retrier); ok {
-			return r
-		}
-		uw, ok := m.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		m = uw.Unwrap()
-	}
-	return nil
-}
-
-// FindChaos walks a wrapper chain and returns the first Chaos, or nil.
-func FindChaos(m Model) *Chaos {
-	for m != nil {
-		if c, ok := m.(*Chaos); ok {
-			return c
-		}
-		uw, ok := m.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		m = uw.Unwrap()
-	}
-	return nil
 }

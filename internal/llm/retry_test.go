@@ -350,15 +350,3 @@ func TestRetrierOverChaosDeterministic(t *testing.T) {
 		t.Fatalf("fault-layer outcomes differ across runs:\n%s\n%s", a, b)
 	}
 }
-
-func TestFindRetrier(t *testing.T) {
-	inner := &echoModel{}
-	r := NewRetrier(inner, RetryPolicy{})
-	c := NewCache(r)
-	if FindRetrier(c) != r {
-		t.Fatal("FindRetrier did not walk the chain")
-	}
-	if FindRetrier(inner) != nil {
-		t.Fatal("FindRetrier on a bare model must return nil")
-	}
-}

@@ -111,9 +111,6 @@ func NewCoalescerSized(m Model, capacity int) *Coalescer {
 // Name implements Model.
 func (c *Coalescer) Name() string { return c.Inner.Name() }
 
-// Unwrap implements Unwrapper.
-func (c *Coalescer) Unwrap() Model { return c.Inner }
-
 // Complete implements Model. The first caller for a fingerprint runs the
 // inner call; everyone else gets a Coalesced copy of its response. A
 // follower whose leader failed loops: it re-enters the critical section
@@ -188,20 +185,4 @@ func (c *Coalescer) Stats() CoalescerStats {
 	s.Size = c.order.Len()
 	s.Capacity = c.capacity
 	return s
-}
-
-// FindCoalescer walks a wrapper chain and returns the first Coalescer, or
-// nil.
-func FindCoalescer(m Model) *Coalescer {
-	for m != nil {
-		if c, ok := m.(*Coalescer); ok {
-			return c
-		}
-		uw, ok := m.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		m = uw.Unwrap()
-	}
-	return nil
 }

@@ -229,17 +229,6 @@ func TestCoalescerErrorsPropagateAndAreNotMemoized(t *testing.T) {
 	}
 }
 
-func TestFindCoalescer(t *testing.T) {
-	inner := &blockModel{}
-	c := NewCoalescer(inner)
-	if FindCoalescer(NewCounting(NewCache(c))) != c {
-		t.Fatal("FindCoalescer must walk the wrapper chain")
-	}
-	if FindCoalescer(NewCounting(inner)) != nil {
-		t.Fatal("FindCoalescer on a chain without one must return nil")
-	}
-}
-
 // gateModel blocks every Complete until released, so a test can hold a
 // coalescer leader's call open while followers pile onto its flight.
 type gateModel struct {

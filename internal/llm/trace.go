@@ -111,9 +111,6 @@ type recorder struct {
 // Name implements Model.
 func (r *recorder) Name() string { return r.inner.Name() }
 
-// Unwrap implements Unwrapper.
-func (r *recorder) Unwrap() Model { return r.inner }
-
 // Complete implements Model.
 func (r *recorder) Complete(req CompletionRequest) (CompletionResponse, error) {
 	resp, err := r.inner.Complete(req)
