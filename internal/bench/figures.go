@@ -292,9 +292,6 @@ var experiments = []struct {
 	{"Frontend", FrontendAllocs},
 }
 
-// RunAll executes every experiment and returns the reports in paper order.
-func RunAll(o Options) ([]Report, error) { return RunOnly(o, "") }
-
 // RunOnly executes the experiments whose ID contains any of the
 // comma-separated, case-insensitive substrings in filter (empty = all), in
 // paper order. A filter matching nothing is an error.

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"llmsql/internal/llm"
@@ -245,17 +248,20 @@ func TestConcurrentQueriesOneEngine(t *testing.T) {
 }
 
 func TestRunTasksSerialAndParallel(t *testing.T) {
-	for _, p := range []int{1, 4} {
-		got := make([]int, 100)
-		if err := runTasks(p, 100, func(i int) error {
+	// Parallelism below 1 runs serially; above n, n workers suffice.
+	for _, c := range []struct{ p, n int }{{1, 100}, {4, 100}, {0, 5}, {3, 0}, {3, 1}, {8, 3}} {
+		got := make([]int, c.n)
+		runs := make([]int32, c.n)
+		if err := runTasks(c.p, c.n, func(i int) error {
+			atomic.AddInt32(&runs[i], 1)
 			got[i] = i * i
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("p=%d slot %d: %d", p, i, v)
+			if v != i*i || runs[i] != 1 {
+				t.Fatalf("p=%d n=%d slot %d: %d after %d runs", c.p, c.n, i, v, runs[i])
 			}
 		}
 	}
@@ -273,6 +279,100 @@ func TestRunTasksReturnsLowestIndexedError(t *testing.T) {
 			t.Fatalf("p=%d: want lowest-indexed error, got %v", p, err)
 		}
 	}
+}
+
+func TestRunTasksNeverExceedsParallelism(t *testing.T) {
+	for _, par := range []int{2, 3, 8} {
+		var inFlight, peak atomic.Int32
+		err := runTasks(par, 200, func(int) error {
+			now := inFlight.Add(1)
+			for {
+				p := peak.Load()
+				if now <= p || peak.CompareAndSwap(p, now) {
+					break
+				}
+			}
+			runtime.Gosched()
+			inFlight.Add(-1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := peak.Load(); p > int32(par) {
+			t.Fatalf("parallelism %d: %d tasks ran at once", par, p)
+		}
+	}
+}
+
+// TestRunTasksStopsAfterFailure fails every index from m on. A worker that
+// runs a failing task records the failure before it takes another index,
+// so each worker runs at most one failing task: the started indices are a
+// prefix of at most m+parallelism indices, and the error is index m's.
+func TestRunTasksStopsAfterFailure(t *testing.T) {
+	for _, c := range []struct{ par, m int }{{2, 0}, {4, 0}, {4, 7}, {3, 20}} {
+		const n = 100
+		var log startLog
+		err := runTasks(c.par, n, func(i int) error {
+			log.add(i)
+			runtime.Gosched()
+			if i >= c.m {
+				return fmt.Errorf("task %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != fmt.Sprintf("task %d", c.m) {
+			t.Fatalf("par=%d m=%d: got error %v, want task %d's", c.par, c.m, err, c.m)
+		}
+		if !log.prefix() {
+			t.Fatalf("par=%d m=%d: started indices %v are not a prefix", c.par, c.m, log.started)
+		}
+		if got := len(log.started); got > c.m+c.par {
+			t.Fatalf("par=%d m=%d: %d tasks started, at most m+parallelism = %d may", c.par, c.m, got, c.m+c.par)
+		}
+	}
+}
+
+// TestRunTasksLowestErrorWhenHigherFailsFirst makes the higher index fail first
+// in time: the error reported is still the lower index's.
+func TestRunTasksLowestErrorWhenHigherFailsFirst(t *testing.T) {
+	errLow, errHigh := errors.New("low"), errors.New("high")
+	highDone := make(chan struct{})
+	err := runTasks(2, 2, func(i int) error {
+		if i == 1 {
+			defer close(highDone)
+			return errHigh
+		}
+		<-highDone
+		return errLow
+	})
+	if !errors.Is(err, errLow) {
+		t.Fatalf("got %v, want the lowest-indexed error", err)
+	}
+}
+
+// startLog records which task indices started.
+type startLog struct {
+	mu      sync.Mutex
+	started []int
+}
+
+func (l *startLog) add(i int) {
+	l.mu.Lock()
+	l.started = append(l.started, i)
+	l.mu.Unlock()
+}
+
+// prefix reports whether the started indices are exactly 0..len-1.
+func (l *startLog) prefix() bool {
+	seen := make([]bool, len(l.started))
+	for _, i := range l.started {
+		if i >= len(seen) || seen[i] {
+			return false
+		}
+		seen[i] = true
+	}
+	return true
 }
 
 func TestCacheWarmSecondQueryIsFree(t *testing.T) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"llmsql/internal/rel"
@@ -255,5 +257,42 @@ func TestParseBatchMatchesWhitespaceVariantKeys(t *testing.T) {
 	}
 	if !found[1] || vals[1].AsText() != "Paris" {
 		t.Fatalf("clean echo broken: %v", vals)
+	}
+}
+
+// TestParseAttrNonASCIIIsOffset covers a line whose lowered copy is longer
+// than the line itself (each invalid byte lowers to a 3-byte U+FFFD): the
+// " is " offset found in the lowered copy lies past the end of the line,
+// and slicing the line there must not panic.
+func TestParseAttrNonASCIIIsOffset(t *testing.T) {
+	v, ok := parseAttrCompletion("\xff\xff\xff\xff is x", rel.TypeText, true)
+	if !ok || v.AsText() != "\xff\xff\xff\xff is x" {
+		t.Fatalf("got %#v, %v; want the bare line as text", v, ok)
+	}
+}
+
+// TestFoldMatchesToLower checks the allocation-free case folds against
+// strings.ToLower on strings whose lowering is unusual: the Kelvin sign
+// (lowers to ASCII 'k'), dotted capital I and capital sharp s (change byte
+// length), the long s (unchanged), invalid bytes (become U+FFFD) and
+// random bytes.
+func TestFoldMatchesToLower(t *testing.T) {
+	inputs := []string{"", "France", "FRANCE", "k", "\u212a", "\u212aenya", "Kenya", "\u0130stanbul", "i\u0307stanbul",
+		"\u1e9e", "\u00df", "\u017f", "s", "\xff", "\ufffd", "\xffabc", "Côte d'Ivoire", "CÔTE D'IVOIRE"}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 300; i++ {
+		b := make([]byte, rng.Intn(6))
+		rng.Read(b)
+		inputs = append(inputs, string(b))
+	}
+	for _, a := range inputs {
+		if got := string(appendLower(nil, a)); got != strings.ToLower(a) {
+			t.Fatalf("appendLower(%q) = %q, strings.ToLower = %q", a, got, strings.ToLower(a))
+		}
+		for _, b := range inputs {
+			if got, want := equalLower(a, b), strings.ToLower(a) == strings.ToLower(b); got != want {
+				t.Fatalf("equalLower(%q, %q) = %v, want %v", a, b, got, want)
+			}
+		}
 	}
 }

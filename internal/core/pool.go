@@ -7,10 +7,13 @@ import "sync"
 // slots — the pool imposes no ordering, so any merge that depends on order
 // must happen afterwards, over the slots, in index order.
 //
-// Error semantics match a serial loop as closely as concurrency allows: once
-// any task fails, no further tasks are launched, and after all in-flight
-// tasks drain the error of the lowest-indexed failed task is returned (so
-// the reported error does not depend on goroutine completion order).
+// min(parallelism, n) workers take indices in increasing order, one at a
+// time, so the fan-out costs a fixed set of goroutines rather than one per
+// task. Error semantics match a serial loop as closely as concurrency
+// allows: once any task's failure has been observed, no worker takes
+// another index, and after the tasks in flight drain the error of the
+// lowest-indexed failed task is returned (so the reported error does not
+// depend on goroutine completion order).
 func runTasks(parallelism, n int, task func(i int) error) error {
 	if parallelism < 1 {
 		parallelism = 1
@@ -27,22 +30,21 @@ func runTasks(parallelism, n int, task func(i int) error) error {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
+		next     int
 		firstIdx = n
 		firstErr error
 	)
-	sem := make(chan struct{}, parallelism)
-	for i := 0; i < n; i++ {
-		mu.Lock()
-		failed := firstIdx < n
-		mu.Unlock()
-		if failed {
-			break
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
+	work := func() {
+		defer wg.Done()
+		for {
+			mu.Lock()
+			if next == n || firstIdx < n {
+				mu.Unlock()
+				return
+			}
+			i := next
+			next++
+			mu.Unlock()
 			if err := task(i); err != nil {
 				mu.Lock()
 				if i < firstIdx {
@@ -50,7 +52,12 @@ func runTasks(parallelism, n int, task func(i int) error) error {
 				}
 				mu.Unlock()
 			}
-		}(i)
+		}
+	}
+	workers := min(parallelism, n)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go work()
 	}
 	wg.Wait()
 	return firstErr

@@ -74,34 +74,82 @@ func buildKeysPrompt(t *VirtualTable, filter sql.Expr, exclude []string, maxRows
 
 // buildAttrPrompt asks for a single attribute of a single entity.
 func buildAttrPrompt(t *VirtualTable, entityKey string, col int) string {
+	c := t.Schema.Col(col)
 	var b strings.Builder
+	b.Grow(len(promptHeader) + len("\nTASK: ATTR\n") + tableLineLen(t) +
+		len("ENTITY: \n") + len(entityKey) + columnLineLen(c) + len(attrTail))
 	b.WriteString(promptHeader)
 	b.WriteString("\nTASK: ATTR\n")
 	writeTableLine(&b, t)
-	fmt.Fprintf(&b, "ENTITY: %s\n", entityKey)
-	c := t.Schema.Col(col)
-	fmt.Fprintf(&b, "COLUMN: %s -- %s\n", c.Name, c.Desc)
-	b.WriteString("Respond with only the value.")
+	b.WriteString("ENTITY: ")
+	b.WriteString(entityKey)
+	b.WriteByte('\n')
+	writeColumnLine(&b, c)
+	b.WriteString(attrTail)
 	return b.String()
 }
+
+const attrTail = "Respond with only the value."
 
 // buildAttrBatchPrompt asks for one attribute of a batch of entities
 // (Config.BatchSize > 1): the answer is expected as one
-// "<entity> | <value>" line per entity, in the given order.
+// "<entity> | <value>" line per entity, in the given order. One of these
+// is built per batched prompt, so it writes into one builder sized up
+// front.
 func buildAttrBatchPrompt(t *VirtualTable, entityKeys []string, col int) string {
+	c := t.Schema.Col(col)
+	size := len(promptHeader) + len("\nTASK: ATTRS\n") + tableLineLen(t) +
+		len("ENTITIES: \n") + columnLineLen(c) + len(attrBatchTail)
+	for _, k := range entityKeys {
+		size += len(k) + len(" | ")
+	}
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteString(promptHeader)
 	b.WriteString("\nTASK: ATTRS\n")
 	writeTableLine(&b, t)
-	fmt.Fprintf(&b, "ENTITIES: %s\n", strings.Join(entityKeys, " | "))
-	c := t.Schema.Col(col)
-	fmt.Fprintf(&b, "COLUMN: %s -- %s\n", c.Name, c.Desc)
-	b.WriteString("Respond with one line per entity, in the order given, formatted as '<entity> | <value>'. Output data only, no commentary.")
+	b.WriteString("ENTITIES: ")
+	for i, k := range entityKeys {
+		if i > 0 {
+			b.WriteString(" | ")
+		}
+		b.WriteString(k)
+	}
+	b.WriteByte('\n')
+	writeColumnLine(&b, c)
+	b.WriteString(attrBatchTail)
 	return b.String()
 }
 
+const attrBatchTail = "Respond with one line per entity, in the order given, formatted as '<entity> | <value>'. Output data only, no commentary."
+
+// writeTableLine writes "TABLE: <name> -- <description>\n".
 func writeTableLine(b *strings.Builder, t *VirtualTable) {
-	fmt.Fprintf(b, "TABLE: %s -- %s\n", strings.ToLower(t.Name), t.Description)
+	b.WriteString("TABLE: ")
+	b.WriteString(strings.ToLower(t.Name))
+	b.WriteString(" -- ")
+	b.WriteString(t.Description)
+	b.WriteByte('\n')
+}
+
+// tableLineLen is the length of writeTableLine's output for an ASCII
+// table name (registered names are lower-cased already).
+func tableLineLen(t *VirtualTable) int {
+	return len("TABLE:  -- \n") + len(t.Name) + len(t.Description)
+}
+
+// writeColumnLine writes "COLUMN: <name> -- <description>\n".
+func writeColumnLine(b *strings.Builder, c rel.Column) {
+	b.WriteString("COLUMN: ")
+	b.WriteString(c.Name)
+	b.WriteString(" -- ")
+	b.WriteString(c.Desc)
+	b.WriteByte('\n')
+}
+
+// columnLineLen is the length of writeColumnLine's output.
+func columnLineLen(c rel.Column) int {
+	return len("COLUMN:  -- \n") + len(c.Name) + len(c.Desc)
 }
 
 // writeFilterLines emits both the canonical condition (FILTER:) and a

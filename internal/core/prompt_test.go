@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -118,5 +119,33 @@ func TestNeededColumns(t *testing.T) {
 	cols = neededColumns(schema, []bool{false, false, true})
 	if len(cols) != 2 || cols[0] != 0 || cols[1] != 2 {
 		t.Fatalf("masked: %v", cols)
+	}
+}
+
+// TestAttrPromptsMatchFmtLayout pins the fmt-free ATTR and ATTRS builders
+// to the layout they had when written with fmt: a prompt is part of every
+// fingerprint, so one changed byte would miss every cache and trace.
+func TestAttrPromptsMatchFmtLayout(t *testing.T) {
+	tab := promptTable()
+	tab.Name = "Côte_Table"
+	keys := []string{"France", "Côte d'Ivoire", "", "São Tomé and Príncipe"}
+	for col := 0; col < tab.Schema.Len(); col++ {
+		c := tab.Schema.Col(col)
+		table := fmt.Sprintf("TABLE: %s -- %s\n", strings.ToLower(tab.Name), tab.Description)
+		column := fmt.Sprintf("COLUMN: %s -- %s\n", c.Name, c.Desc)
+		for n := 0; n <= len(keys); n++ {
+			want := promptHeader + "\nTASK: ATTRS\n" + table +
+				fmt.Sprintf("ENTITIES: %s\n", strings.Join(keys[:n], " | ")) + column +
+				"Respond with one line per entity, in the order given, formatted as '<entity> | <value>'. Output data only, no commentary."
+			if got := buildAttrBatchPrompt(tab, keys[:n], col); got != want {
+				t.Fatalf("ATTRS prompt for %d keys, column %d:\n got %q\nwant %q", n, col, got, want)
+			}
+		}
+		for _, k := range keys {
+			want := promptHeader + "\nTASK: ATTR\n" + table + fmt.Sprintf("ENTITY: %s\n", k) + column + "Respond with only the value."
+			if got := buildAttrPrompt(tab, k, col); got != want {
+				t.Fatalf("ATTR prompt for %q, column %d:\n got %q\nwant %q", k, col, got, want)
+			}
+		}
 	}
 }

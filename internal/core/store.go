@@ -369,7 +369,17 @@ type llmScan struct {
 
 func (sc *llmScan) cfg() Config { return sc.store.cfg }
 
-func (sc *llmScan) keyPos() int { return sc.table.Schema.KeyIndexes()[0] }
+// keyPos returns the schema position of the entity key, the first
+// Key-marked column (Schema.KeyIndexes()[0]), without building the index
+// slice on every row.
+func (sc *llmScan) keyPos() int {
+	for i, c := range sc.table.Schema.Columns {
+		if c.Key {
+			return i
+		}
+	}
+	return 0
+}
 
 // modelCall issues one raw model call. It does no accounting — callers own
 // prompt counting and critical-path bookkeeping — and is safe to invoke from

@@ -3,7 +3,7 @@ package llm
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 )
 
 // The model stack is built from pluggable backends. A Backend is anything
@@ -28,6 +28,12 @@ import (
 // All persistent layers address completions by Fingerprint, the versioned
 // content hash of (model id, prompt, decode parameters) — two requests
 // share an answer exactly when their fingerprints match.
+//
+// Each layer that looks a request up by fingerprint (Coalescer, DiskCache,
+// Chaos, Recorder or Replayer) hashes the request itself and passes the
+// plain CompletionRequest down, so a layer from outside this package sees
+// exactly the request its caller built. The Retrier hashes only when it
+// must back off; CountingModel and CacheModel hash nothing.
 
 // Backend is a pluggable completion provider. It is the same interface as
 // Model under the name used for the storage side of the stack: SynthLM, a
@@ -54,11 +60,26 @@ func Fingerprint(model string, req CompletionRequest) string {
 // fingerprintAt is Fingerprint pinned to an explicit format version
 // (exposed separately so versioning tests can produce "old" fingerprints).
 func fingerprintAt(version int, model string, req CompletionRequest) string {
-	h := sha256.New()
 	// NUL-separated fields: no field can contain NUL, so the encoding is
 	// injective and fingerprints cannot collide across field boundaries.
-	fmt.Fprintf(h, "llmsql-fp-v%d\x00%s\x00%d\x00%g\x00%d\x00",
-		version, model, req.MaxTokens, req.Temperature, req.Seed)
-	h.Write([]byte(req.Prompt))
-	return hex.EncodeToString(h.Sum(nil))
+	// The bytes are those of fmt's "llmsql-fp-v%d\x00%s\x00%d\x00%g\x00%d\x00"
+	// followed by the prompt; they are built without fmt, on the stack for
+	// prompts of up to about 1 KiB.
+	var stack [1024]byte
+	b := append(stack[:0], "llmsql-fp-v"...)
+	b = strconv.AppendInt(b, int64(version), 10)
+	b = append(b, 0)
+	b = append(b, model...)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, int64(req.MaxTokens), 10)
+	b = append(b, 0)
+	b = strconv.AppendFloat(b, req.Temperature, 'g', -1, 64)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, req.Seed, 10)
+	b = append(b, 0)
+	b = append(b, req.Prompt...)
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }

@@ -200,7 +200,9 @@ func (r *Retrier) Complete(req CompletionRequest) (CompletionResponse, error) {
 	}
 	r.mu.Unlock()
 
-	fp := Fingerprint(r.Name(), req)
+	// The fingerprint only jitters a backoff, so a call that succeeds at
+	// once never hashes its request.
+	var fp string
 	var fault time.Duration
 	attempts := 0
 	for {
@@ -223,6 +225,9 @@ func (r *Retrier) Complete(req CompletionRequest) (CompletionResponse, error) {
 		if attempts >= r.policy.MaxAttempts {
 			r.noteOutcome(false, attempts-1)
 			return CompletionResponse{}, &RetryError{Attempts: attempts, FaultLatency: fault, Err: err}
+		}
+		if fp == "" {
+			fp = Fingerprint(r.Name(), req)
 		}
 		wait := r.backoff(fp, attempts, errors.Is(err, RateLimited))
 		fault += wait
