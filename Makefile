@@ -144,3 +144,5 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParseListCompletion$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParseAttrBatchCompletion$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParseAttrCompletion$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMergeVotes$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/llm -run '^$$' -fuzz '^FuzzDiskRecordEncoding$$' -fuzztime $(FUZZTIME)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"llmsql/internal/rel"
@@ -52,6 +54,51 @@ func TestBuildAttrBatchPromptAllocs(t *testing.T) {
 	tab := promptTable()
 	if got := testing.AllocsPerRun(100, func() { buildAttrBatchPrompt(tab, batchKeys, 1) }); got != 1 {
 		t.Fatalf("buildAttrBatchPrompt allocated %.1f times, want 1", got)
+	}
+}
+
+// TestMergeVotesAllocs pins the vote merge to zero allocations on the
+// numeric and ASCII-text cells the attribute phase merges.
+func TestMergeVotesAllocs(t *testing.T) {
+	v := func(val rel.Value) attrVote { return attrVote{val: val, ok: true} }
+	cells := map[string][]attrVote{
+		"int":   {v(rel.Int(68)), v(rel.Int(67)), v(rel.Int(68))},
+		"float": {v(rel.Float(2.5)), v(rel.Int(2)), v(rel.Float(2.5)), {}},
+		"ascii": {v(rel.Text("Paris")), v(rel.Text(" paris ")), v(rel.Text("Lyon"))},
+	}
+	for name, votes := range cells {
+		if got := testing.AllocsPerRun(100, func() { benchValue = mergeVotes(votes, rel.TypeText) }); got != 0 {
+			t.Errorf("mergeVotes on %s votes allocated %.1f times, want 0", name, got)
+		}
+	}
+}
+
+// TestParseKeysCompletionAllocs pins a KEYS completion parsed against the
+// key column's own schema to a constant number of allocations — the row
+// slab and the row slice — however many lines it has.
+func TestParseKeysCompletionAllocs(t *testing.T) {
+	keySchema := rel.Schema{Columns: parseSchema.Columns[:1]}
+	var short, long strings.Builder
+	short.WriteString("Here are the entities:\n")
+	long.WriteString("Here are the entities:\n")
+	for i := 0; i < 40; i++ {
+		line := fmt.Sprintf("Country %d\n", i)
+		if i < 4 {
+			short.WriteString(line)
+		}
+		long.WriteString(line)
+	}
+	for _, text := range []string{short.String(), long.String()} {
+		rows, _ := parseListCompletion(text, keySchema, []int{0}, 0, true)
+		if n := strings.Count(text, "\n") - 1; len(rows) != n {
+			t.Fatalf("parsed %d rows, want %d", len(rows), n)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			benchRows, _ = parseListCompletion(text, keySchema, []int{0}, 0, true)
+		})
+		if got != 2 {
+			t.Errorf("parsing a %d-line KEYS completion allocated %.1f times, want 2", len(rows), got)
+		}
 	}
 }
 

@@ -73,8 +73,8 @@ func TestAutoQueryRunsChosenStrategy(t *testing.T) {
 	if s.Strategy == StrategyAuto {
 		t.Fatal("ScanStats.Strategy must be the resolved strategy, not auto")
 	}
-	if !strings.Contains(res.Plan, "auto="+s.Strategy.String()) {
-		t.Fatalf("plan annotation (%s) disagrees with executed strategy %s", res.Plan, s.Strategy)
+	if !strings.Contains(res.Plan(), "auto="+s.Strategy.String()) {
+		t.Fatalf("plan annotation (%s) disagrees with executed strategy %s", res.Plan(), s.Strategy)
 	}
 	if len(res.Result.Rows) == 0 {
 		t.Fatal("auto scan returned no rows")

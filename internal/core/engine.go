@@ -215,8 +215,24 @@ type QueryResult struct {
 	Usage llm.Usage
 	// Scans reports per-virtual-table retrieval statistics.
 	Scans []ScanStats
-	// Plan is the executed plan, rendered.
-	Plan string
+
+	// node is the executed plan, which Plan renders into planText on its
+	// first call; EXPLAIN results carry their text from the start.
+	node     plan.Node
+	planText string
+	planOnce sync.Once
+}
+
+// Plan returns the executed plan, rendered. The text is built on the first
+// call, not after every query, since most callers never read it.
+func (r *QueryResult) Plan() string {
+	r.planOnce.Do(func() {
+		if r.node != nil {
+			r.planText = plan.Explain(r.node)
+			r.node = nil
+		}
+	})
+	return r.planText
 }
 
 // Query plans and executes a SELECT (or EXPLAIN [ANALYZE] SELECT)

@@ -149,7 +149,7 @@ func (e *Engine) run(pq *preparedQuery, args []any, forceAnalyze bool) (*QueryRe
 		Result: res,
 		Usage:  after.Sub(before),
 		Scans:  e.store.TakeStats(),
-		Plan:   plan.Explain(node),
+		node:   node,
 	}
 	if pq.kind == kindExplainAnalyze {
 		// Like a real database, EXPLAIN ANALYZE returns the annotated plan as
@@ -166,7 +166,7 @@ func planTextResult(text string) *QueryResult {
 	for _, line := range planTextLines(text) {
 		rows = append(rows, rel.Row{rel.Text(line)})
 	}
-	return &QueryResult{Result: &exec.Result{Schema: schema, Rows: rows}, Plan: text}
+	return &QueryResult{Result: &exec.Result{Schema: schema, Rows: rows}, planText: text}
 }
 
 func planTextLines(s string) []string {

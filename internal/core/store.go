@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -381,6 +382,15 @@ func (sc *llmScan) keyPos() int {
 	return 0
 }
 
+// nullRow returns a schema-wide row of the table's typed NULLs.
+func (sc *llmScan) nullRow() rel.Row {
+	row := make(rel.Row, sc.table.Schema.Len())
+	for i := range row {
+		row[i] = rel.NullOf(sc.table.Schema.Col(i).Type)
+	}
+	return row
+}
+
 // modelCall issues one raw model call. It does no accounting — callers own
 // prompt counting and critical-path bookkeeping — and is safe to invoke from
 // pool workers (Model implementations are concurrency-safe by contract).
@@ -477,10 +487,11 @@ func (sc *llmScan) countFailed(attempts int, fault time.Duration, sched *llm.Sch
 }
 
 // runRounds obtains one enumeration round per seed, accumulating rows keyed
-// by entity, until MaxRounds or the convergence rule (StableRounds rounds
-// without a new entity) stops it. At temperature zero a single round is
-// issued — greedy decoding cannot produce new rows — unless promptVaries
-// says each round changes the prompt (paged scans).
+// by entity (the value at keyPos of each parsed row), until MaxRounds or
+// the convergence rule (StableRounds rounds without a new entity) stops
+// it. At temperature zero a single round is issued — greedy decoding
+// cannot produce new rows — unless promptVaries says each round changes
+// the prompt (paged scans).
 //
 // issue performs the model call for one round; parse turns completion text
 // into rows. parse always runs on the scan goroutine in round order, so
@@ -491,7 +502,7 @@ func (sc *llmScan) countFailed(attempts int, fault time.Duration, sched *llm.Sch
 // Consumed rounds are accounted exactly as in the serial path, so result
 // rows and ScanStats are byte-identical at any parallelism; discarded
 // speculative calls show up only in the model's Usage.
-func (sc *llmScan) runRounds(promptVaries bool, issue func(seed int64) (llm.CompletionResponse, error), parse func(text string) []rel.Row) ([]rel.Row, error) {
+func (sc *llmScan) runRounds(promptVaries bool, keyPos int, issue func(seed int64) (llm.CompletionResponse, error), parse func(text string) []rel.Row) ([]rel.Row, error) {
 	maxRounds := sc.cfg().MaxRounds
 	if sc.cfg().Temperature <= 0 && !promptVaries {
 		maxRounds = 1
@@ -547,8 +558,8 @@ func (sc *llmScan) runRounds(promptVaries bool, issue func(seed int64) (llm.Comp
 		}
 	}
 
-	seenKeys := map[string]bool{}
 	appearances := map[string]int{} // rounds in which each entity appeared
+	seenThisRound := map[string]bool{}
 	dedup := sc.cfg().Dedup
 	var out []rel.Row
 	stable := 0
@@ -571,14 +582,18 @@ func (sc *llmScan) runRounds(promptVaries bool, issue func(seed int64) (llm.Comp
 		sc.countCache(resp)
 		rows := parse(resp.Text)
 		newThisRound := 0
-		seenThisRound := map[string]bool{}
+		clear(seenThisRound)
 		for _, row := range rows {
-			key := entityKey(row, sc.keyPos())
-			if !seenThisRound[key] {
+			key := entityKey(row, keyPos)
+			// An entity was seen before this row if an earlier row of this
+			// round named it or an earlier round did.
+			seen := seenThisRound[key]
+			if !seen {
 				seenThisRound[key] = true
+				seen = appearances[key] > 0
 				appearances[key]++
 			}
-			if seenKeys[key] {
+			if seen {
 				// Convergence always tracks entity novelty, but only the
 				// dedup feature (ablated in Table 7) suppresses the
 				// duplicate row itself.
@@ -589,7 +604,6 @@ func (sc *llmScan) runRounds(promptVaries bool, issue func(seed int64) (llm.Comp
 				out = append(out, row)
 				continue
 			}
-			seenKeys[key] = true
 			out = append(out, row)
 			newThisRound++
 		}
@@ -602,7 +616,7 @@ func (sc *llmScan) runRounds(promptVaries bool, issue func(seed int64) (llm.Comp
 			stable = 0
 		}
 	}
-	out = sc.filterByConfidence(out, appearances)
+	out = sc.filterByConfidence(out, appearances, keyPos)
 	return out, nil
 }
 
@@ -610,7 +624,7 @@ func (sc *llmScan) runRounds(promptVaries bool, issue func(seed int64) (llm.Comp
 // sampling rounds falls below Config.MinConfidence. Hallucinated rows tend
 // to be one-off samples while real entities recur, so the filter trades a
 // little recall for precision (swept in Table 8).
-func (sc *llmScan) filterByConfidence(rows []rel.Row, appearances map[string]int) []rel.Row {
+func (sc *llmScan) filterByConfidence(rows []rel.Row, appearances map[string]int, keyPos int) []rel.Row {
 	minConf := sc.cfg().MinConfidence
 	rounds := sc.stats.Rounds
 	if minConf <= 0 || rounds <= 1 {
@@ -621,7 +635,6 @@ func (sc *llmScan) filterByConfidence(rows []rel.Row, appearances map[string]int
 	if sc.strategy == StrategyPaged {
 		return rows
 	}
-	keyPos := sc.keyPos()
 	kept := rows[:0]
 	for _, row := range rows {
 		conf := float64(appearances[entityKey(row, keyPos)]) / float64(rounds)
@@ -646,12 +659,13 @@ func entityKey(row rel.Row, keyPos int) string {
 
 func (sc *llmScan) runFullTable() ([]rel.Row, error) {
 	prompt := buildListPrompt(sc.table, sc.cols, sc.filter, nil, 0)
-	return sc.runRounds(false,
+	keyPos := sc.keyPos()
+	return sc.runRounds(false, keyPos,
 		func(seed int64) (llm.CompletionResponse, error) {
 			return sc.modelCall(prompt, seed)
 		},
 		func(text string) []rel.Row {
-			rows, stats := parseListCompletion(text, sc.table.Schema, sc.cols, sc.keyPos(), sc.cfg().Tolerant)
+			rows, stats := parseListCompletion(text, sc.table.Schema, sc.cols, keyPos, sc.cfg().Tolerant)
 			sc.stats.Parse.Add(stats)
 			return rows
 		})
@@ -664,26 +678,30 @@ func (sc *llmScan) runPaged() ([]rel.Row, error) {
 	// promptVaries keeps them strictly serial.
 	var exclude []string
 	excludeSet := map[string]bool{}
-	return sc.runRounds(true,
+	keyPos := sc.keyPos()
+	return sc.runRounds(true, keyPos,
 		func(seed int64) (llm.CompletionResponse, error) {
 			prompt := buildListPrompt(sc.table, sc.cols, sc.filter, exclude, sc.cfg().PageSize)
 			return sc.modelCall(prompt, seed)
 		},
 		func(text string) []rel.Row {
-			rows, stats := parseListCompletion(text, sc.table.Schema, sc.cols, sc.keyPos(), sc.cfg().Tolerant)
+			rows, stats := parseListCompletion(text, sc.table.Schema, sc.cols, keyPos, sc.cfg().Tolerant)
 			sc.stats.Parse.Add(stats)
 			for _, row := range rows {
-				key := entityKey(row, sc.keyPos())
+				key := entityKey(row, keyPos)
 				if !excludeSet[key] {
 					excludeSet[key] = true
-					exclude = append(exclude, row[sc.keyPos()].AsText())
+					exclude = append(exclude, row[keyPos].AsText())
 				}
 			}
 			return rows
 		})
 }
 
-// attrVote is one self-consistency vote for one attribute cell.
+// attrVote is one self-consistency vote for one attribute cell. The vote
+// grid of an attribute window holds only these; the completions the votes
+// were parsed from stay in the fan-out's per-task callOutcome slots, which
+// are accounted once each on the scan goroutine.
 type attrVote struct {
 	val rel.Value
 	ok  bool
@@ -691,14 +709,56 @@ type attrVote struct {
 	// retry budget (Config.PartialResults only): any failed cell drops its
 	// key from the window's output.
 	failed bool
-	// failTries and fault carry a failed call's accounting — the attempts
-	// it burned and the virtual time it spent — since no response exists to
-	// count from.
+}
+
+// callOutcome is one fan-out task's model call, kept in an index-disjoint
+// slot until the scan goroutine accounts it: the response, or for a
+// degraded call (failed) the attempts it burned and the virtual time it
+// spent, since no response exists to count from.
+type callOutcome struct {
+	resp      llm.CompletionResponse
+	failed    bool
 	failTries int
 	fault     time.Duration
-	// resp is the completion the vote was parsed from; zero for scatter
-	// copies of a batched answer (the call is counted once, on its task).
-	resp llm.CompletionResponse
+}
+
+// account replays a fan-out's call outcomes through the lane scheduler in
+// task order — failed calls occupy their lane for the fault's duration —
+// attributes each to the scan's counters, and extends the scan's critical
+// path by the growth of the scheduler's makespan. sched is shared across
+// the scan's windows so the accumulated critical path matches one big
+// fan-out.
+func (sc *llmScan) account(outs []callOutcome, sched *llm.Sched) {
+	before := sched.Makespan()
+	for i := range outs {
+		if outs[i].failed {
+			sc.countFailed(outs[i].failTries, outs[i].fault, sched)
+			continue
+		}
+		sched.Add(outs[i].resp.SimLatency)
+		sc.countCache(outs[i].resp)
+	}
+	sc.addWall(sched.Makespan() - before)
+}
+
+// attrCall asks the single-key ATTR prompt for (key, column c) with vote
+// seed v and writes the parsed vote and the call's outcome into the
+// caller's slots. A degradable failure fails the vote instead of the scan.
+// Safe to call from pool workers on index-disjoint slots.
+func (sc *llmScan) attrCall(key string, c, v int, vote *attrVote, out *callOutcome) error {
+	resp, err := sc.modelCall(buildAttrPrompt(sc.table, key, c), int64(1000+v))
+	if err != nil {
+		if tries, fault, ok := sc.degrade(err); ok {
+			*vote = attrVote{failed: true}
+			*out = callOutcome{failed: true, failTries: tries, fault: fault}
+			return nil
+		}
+		return err
+	}
+	val, ok := parseAttrCompletion(resp.Text, sc.table.Schema.Col(c).Type, sc.cfg().Tolerant)
+	*vote = attrVote{val: val, ok: ok}
+	*out = callOutcome{resp: resp}
+	return nil
 }
 
 // startKeyThenAttr runs the enumeration phase of the key-then-attr
@@ -709,18 +769,25 @@ type attrVote struct {
 // upstream that stops pulling stops the spend after at most one window of
 // over-fetch. Rows stream in key order, so at any Parallelism/BatchSize the
 // emitted prefix is byte-identical to the fully materialized scan.
+//
+// Enumeration rows are key-only: KEYS completions are parsed against the
+// key column's own one-column schema, so each enumerated row is the key
+// cell alone (position 0) until fetchWindow builds the schema-wide output
+// row around it.
 func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 	// Phase 1: enumerate keys. The prompt carries the conjuncts the key
 	// column alone can decide; the gate below enforces them locally.
 	keyPos := sc.keyPos()
+	keySchema := rel.Schema{Columns: sc.table.Schema.Columns[keyPos : keyPos+1]}
+	keyCols := []int{0}
 	keyFilter := sc.keyOnlyFilter()
 	keyPrompt := buildKeysPrompt(sc.table, keyFilter, nil, 0)
-	keyRows, err := sc.runRounds(false,
+	keyRows, err := sc.runRounds(false, 0,
 		func(seed int64) (llm.CompletionResponse, error) {
 			return sc.modelCall(keyPrompt, seed)
 		},
 		func(text string) []rel.Row {
-			rows, stats := parseListCompletion(text, sc.table.Schema, []int{keyPos}, keyPos, sc.cfg().Tolerant)
+			rows, stats := parseListCompletion(text, keySchema, keyCols, 0, sc.cfg().Tolerant)
 			sc.stats.Parse.Add(stats)
 			return rows
 		})
@@ -756,7 +823,7 @@ func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 	}
 	keys := make([]string, len(keyRows))
 	for i, row := range keyRows {
-		keys[i] = row[keyPos].AsText()
+		keys[i] = row[0].AsText()
 	}
 	votes := sc.cfg().Votes
 	// Without limit pushdown every key is attributed in one window — the
@@ -772,6 +839,8 @@ func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 		sc:       sc,
 		keyRows:  keyRows,
 		keys:     keys,
+		keyPos:   keyPos,
+		nulls:    sc.nullRow(),
 		emit:     emit,
 		attrCols: attrCols,
 		votes:    votes,
@@ -808,10 +877,13 @@ func (sc *llmScan) keyOnlyFilter() sql.Expr {
 }
 
 // gateKeys enforces the key-only pushed conjuncts locally on the
-// enumerated key rows, before any attribute spend. Only rows the
+// enumerated key-only rows, before any attribute spend. Only rows the
 // executor's re-applied filter would certainly drop are removed: a row
 // whose predicate evaluation errors is kept so the error still surfaces
-// where the unpushed plan would raise it.
+// where the unpushed plan would raise it. The predicate is compiled
+// against the scan's schema-wide output schema but reads only the key, so
+// it runs on one reused schema-wide row of typed NULLs whose key cell is
+// overwritten per key.
 func (sc *llmScan) gateKeys(keyRows []rel.Row, keyFilter sql.Expr) []rel.Row {
 	if keyFilter == nil || len(keyRows) == 0 {
 		return keyRows
@@ -822,14 +894,17 @@ func (sc *llmScan) gateKeys(keyRows []rel.Row, keyFilter sql.Expr) []rel.Row {
 		// executor will reject on its own) must not break the scan.
 		return keyRows
 	}
+	row := sc.nullRow()
+	keyPos := sc.keyPos()
 	kept := keyRows[:0]
-	for _, row := range keyRows {
+	for _, kr := range keyRows {
+		row[keyPos] = kr[0]
 		ts, err := pred(row)
 		if err == nil && ts != rel.True {
 			sc.stats.KeysGated++
 			continue
 		}
-		kept = append(kept, row)
+		kept = append(kept, kr)
 	}
 	return kept
 }
@@ -872,7 +947,7 @@ func canonicalBoundKeys(keys []string) []string {
 // case-insensitive on canonicalized spellings (like entity dedup); a kept
 // row whose exact spelling differs from the outer value is still dropped
 // by the executor's equality check, so the gate can only waste — never
-// corrupt — an attribute prompt.
+// corrupt — an attribute prompt. keyRows are key-only enumeration rows.
 func (sc *llmScan) bindGate(keyRows []rel.Row) ([]rel.Row, []bool) {
 	if sc.bound == nil || len(keyRows) == 0 {
 		return keyRows, nil
@@ -881,7 +956,6 @@ func (sc *llmScan) bindGate(keyRows []rel.Row) ([]rel.Row, []bool) {
 	for _, k := range sc.bound {
 		inBound[strings.ToLower(k)] = true
 	}
-	keyPos := sc.keyPos()
 	batch := sc.cfg().BatchSize
 	var kept []rel.Row
 	var emit []bool
@@ -893,7 +967,7 @@ func (sc *llmScan) bindGate(keyRows []rel.Row) ([]rel.Row, []bool) {
 		group := keyRows[lo:hi]
 		any := false
 		for _, row := range group {
-			if inBound[entityKey(row, keyPos)] {
+			if inBound[entityKey(row, 0)] {
 				any = true
 				break
 			}
@@ -903,7 +977,7 @@ func (sc *llmScan) bindGate(keyRows []rel.Row) ([]rel.Row, []bool) {
 		}
 		for _, row := range group {
 			kept = append(kept, row)
-			emit = append(emit, inBound[entityKey(row, keyPos)])
+			emit = append(emit, inBound[entityKey(row, 0)])
 		}
 	}
 	return kept, emit
@@ -917,17 +991,20 @@ func (sc *llmScan) bindGate(keyRows []rel.Row) ([]rel.Row, []bool) {
 // changes how far the key list gets, never what any row contains.
 type attrStream struct {
 	sc      *llmScan
-	keyRows []rel.Row
+	keyRows []rel.Row // key-only enumeration rows
 	keys    []string
+	keyPos  int     // schema position of the key in output rows
+	nulls   rel.Row // a schema-wide row of typed NULLs, copied per output row
 	// emit, when non-nil, marks which keys produce output rows: bind-gate
 	// rider keys are attributed (their group's prompt needs them) but
 	// never emitted.
 	emit     []bool
 	attrCols []int
 	votes    int
-	window   int // keys attributed per fetch
-	next     int // first key index not yet attributed
-	buf      []rel.Row
+	window   int       // keys attributed per fetch
+	next     int       // first key index not yet attributed
+	buf      []rel.Row // the current window's rows; reused across windows
+	pos      int       // next row of buf to hand out
 	// primary and fallback accumulate the whole phase's fan-out latencies
 	// across windows, so the critical-path account at full consumption is
 	// identical to the single big fan-out of the materialized scan.
@@ -936,7 +1013,7 @@ type attrStream struct {
 }
 
 func (st *attrStream) nextRow() (rel.Row, bool, error) {
-	for len(st.buf) == 0 {
+	for st.pos == len(st.buf) {
 		if st.next >= len(st.keyRows) {
 			return nil, false, nil
 		}
@@ -944,12 +1021,14 @@ func (st *attrStream) nextRow() (rel.Row, bool, error) {
 			return nil, false, err
 		}
 	}
-	row := st.buf[0]
-	st.buf = st.buf[1:]
+	row := st.buf[st.pos]
+	st.pos++
 	return row, true, nil
 }
 
 // fetchWindow attributes the next window of keys and buffers their rows.
+// The window's output rows share one slab, each capped at its own width so
+// an append downstream cannot reach its neighbour.
 func (st *attrStream) fetchWindow() error {
 	sc := st.sc
 	lo := st.next
@@ -970,7 +1049,10 @@ func (st *attrStream) fetchWindow() error {
 		return err
 	}
 	sc.stats.KeysAttributed += len(keys)
-	keyPos := sc.keyPos()
+	st.buf, st.pos = st.buf[:0], 0
+	width := len(st.nulls)
+	cells := len(st.attrCols) * st.votes
+	var slab []rel.Value
 	for ki := lo; ki < hi; ki++ {
 		if st.emit != nil && !st.emit[ki] {
 			continue
@@ -980,10 +1062,10 @@ func (st *attrStream) fetchWindow() error {
 		// be a subset of the fault-free rows, never a variation of them.
 		// Only cells of failed calls are marked; merely unparsable answers
 		// keep flowing through mergeVotes as ever.
-		cellLo := (ki - lo) * len(st.attrCols) * st.votes
+		grid := results[(ki-lo)*cells : (ki-lo+1)*cells]
 		dropped := false
-		for j := cellLo; j < cellLo+len(st.attrCols)*st.votes; j++ {
-			if results[j].failed {
+		for j := range grid {
+			if grid[j].failed {
 				sc.stats.KeysFailed++
 				dropped = true
 				break
@@ -992,14 +1074,16 @@ func (st *attrStream) fetchWindow() error {
 		if dropped {
 			continue
 		}
-		row := make(rel.Row, sc.table.Schema.Len())
-		for i := range row {
-			row[i] = rel.NullOf(sc.table.Schema.Col(i).Type)
+		if slab == nil {
+			// This key and every key after it can yield a row.
+			slab = make([]rel.Value, (hi-ki)*width)
 		}
-		row[keyPos] = st.keyRows[ki][keyPos]
+		row := slab[:width:width]
+		slab = slab[width:]
+		copy(row, st.nulls)
+		row[st.keyPos] = st.keyRows[ki][0]
 		for ci, c := range st.attrCols {
-			base := ((ki-lo)*len(st.attrCols) + ci) * st.votes
-			row[c] = mergeVotes(results[base:base+st.votes], sc.table.Schema.Col(c).Type)
+			row[c] = mergeVotes(grid[ci*st.votes:(ci+1)*st.votes], sc.table.Schema.Col(c).Type)
 		}
 		st.buf = append(st.buf, row)
 	}
@@ -1014,39 +1098,16 @@ func (st *attrStream) fetchWindow() error {
 func (sc *llmScan) attrSingle(keys []string, attrCols []int, votes int, sched *llm.Sched) ([]attrVote, error) {
 	n := len(keys) * len(attrCols) * votes
 	results := make([]attrVote, n)
+	outs := make([]callOutcome, n)
 	err := runTasks(sc.cfg().Parallelism, n, func(i int) error {
 		ki := i / (len(attrCols) * votes)
-		c := attrCols[i/votes%len(attrCols)]
-		v := i % votes
-		resp, err := sc.modelCall(buildAttrPrompt(sc.table, keys[ki], c), int64(1000+v))
-		if err != nil {
-			if tries, fault, ok := sc.degrade(err); ok {
-				results[i] = attrVote{failed: true, failTries: tries, fault: fault}
-				return nil
-			}
-			return err
-		}
-		val, ok := parseAttrCompletion(resp.Text, sc.table.Schema.Col(c).Type, sc.cfg().Tolerant)
-		results[i] = attrVote{val: val, ok: ok, resp: resp}
-		return nil
+		return sc.attrCall(keys[ki], attrCols[i/votes%len(attrCols)], i%votes, &results[i], &outs[i])
 	})
 	if err != nil {
 		return nil, err
 	}
 	sc.stats.Prompts += n
-	// Replay the fan-out's latencies through the lane scheduler (in task
-	// order) to account the phase's simulated critical path; failed calls
-	// occupied their lane for the fault's duration.
-	before := sched.Makespan()
-	for i := range results {
-		if results[i].failed {
-			sc.countFailed(results[i].failTries, results[i].fault, sched)
-			continue
-		}
-		sched.Add(results[i].resp.SimLatency)
-		sc.countCache(results[i].resp)
-	}
-	sc.addWall(sched.Makespan() - before)
+	sc.account(outs, sched)
 	return results, nil
 }
 
@@ -1064,18 +1125,16 @@ func (sc *llmScan) attrBatched(keys []string, attrCols []int, votes int, primary
 	batch := sc.cfg().BatchSize
 	numBatches := (len(keys) + batch - 1) / batch
 
-	// One task per (batch, column, vote), indexed batch-major.
+	// One task per (batch, column, vote), indexed batch-major; outs[i] is
+	// task i's call, answers[i] its parsed group.
 	type batchAnswer struct {
-		vals      []rel.Value
-		ok        []bool
-		found     []bool
-		failed    bool // degraded call: the whole group's cells fail
-		failTries int
-		fault     time.Duration
-		resp      llm.CompletionResponse
+		vals  []rel.Value
+		ok    []bool
+		found []bool
 	}
 	n := numBatches * len(attrCols) * votes
-	tasks := make([]batchAnswer, n)
+	answers := make([]batchAnswer, n)
+	outs := make([]callOutcome, n)
 	err := runTasks(sc.cfg().Parallelism, n, func(i int) error {
 		bi := i / (len(attrCols) * votes)
 		c := attrCols[i/votes%len(attrCols)]
@@ -1088,13 +1147,15 @@ func (sc *llmScan) attrBatched(keys []string, attrCols []int, votes int, primary
 		resp, err := sc.modelCall(buildAttrBatchPrompt(sc.table, group, c), int64(1000+v))
 		if err != nil {
 			if tries, fault, ok := sc.degrade(err); ok {
-				tasks[i] = batchAnswer{failed: true, failTries: tries, fault: fault}
+				// A degraded call fails the whole group's cells.
+				outs[i] = callOutcome{failed: true, failTries: tries, fault: fault}
 				return nil
 			}
 			return err
 		}
 		vals, ok, found := parseAttrBatchCompletion(resp.Text, group, sc.table.Schema.Col(c).Type, sc.cfg().Tolerant)
-		tasks[i] = batchAnswer{vals: vals, ok: ok, found: found, resp: resp}
+		answers[i] = batchAnswer{vals: vals, ok: ok, found: found}
+		outs[i] = callOutcome{resp: resp}
 		return nil
 	})
 	if err != nil {
@@ -1102,16 +1163,7 @@ func (sc *llmScan) attrBatched(keys []string, attrCols []int, votes int, primary
 	}
 	sc.stats.Prompts += n
 	sc.stats.BatchedPrompts += n
-	before := primary.Makespan()
-	for i := range tasks {
-		if tasks[i].failed {
-			sc.countFailed(tasks[i].failTries, tasks[i].fault, primary)
-			continue
-		}
-		primary.Add(tasks[i].resp.SimLatency)
-		sc.countCache(tasks[i].resp)
-	}
-	sc.addWall(primary.Makespan() - before)
+	sc.account(outs, primary)
 
 	// Scatter batched answers into the (key, column, vote) layout and
 	// collect the cells that need a single-key fallback. A degraded batched
@@ -1125,11 +1177,12 @@ func (sc *llmScan) attrBatched(keys []string, attrCols []int, votes int, primary
 		ki := i / (len(attrCols) * votes)
 		ci := i / votes % len(attrCols)
 		v := i % votes
-		t := &tasks[(ki/batch*len(attrCols)+ci)*votes+v]
-		if t.failed {
+		ti := (ki/batch*len(attrCols)+ci)*votes + v
+		if outs[ti].failed {
 			results[i] = attrVote{failed: true}
 			continue
 		}
+		t := &answers[ti]
 		off := ki % batch
 		if off < len(t.found) && t.found[off] {
 			results[i] = attrVote{val: t.vals[off], ok: t.ok[off]}
@@ -1143,74 +1196,83 @@ func (sc *llmScan) attrBatched(keys []string, attrCols []int, votes int, primary
 
 	// Fallback fan-out: the single-key prompts use the same vote seeds as
 	// the unbatched phase, so a repaired cell gets the answer attrSingle
-	// would have retrieved for it.
+	// would have retrieved for it. Each task writes its own cell.
 	sc.stats.BatchFallbacks += len(repair)
-	fb := make([]attrVote, len(repair))
+	fb := make([]callOutcome, len(repair))
 	err = runTasks(sc.cfg().Parallelism, len(repair), func(j int) error {
 		i := repair[j]
 		ki := i / (len(attrCols) * votes)
-		c := attrCols[i/votes%len(attrCols)]
-		v := i % votes
-		resp, err := sc.modelCall(buildAttrPrompt(sc.table, keys[ki], c), int64(1000+v))
-		if err != nil {
-			if tries, fault, ok := sc.degrade(err); ok {
-				fb[j] = attrVote{failed: true, failTries: tries, fault: fault}
-				return nil
-			}
-			return err
-		}
-		val, ok := parseAttrCompletion(resp.Text, sc.table.Schema.Col(c).Type, sc.cfg().Tolerant)
-		fb[j] = attrVote{val: val, ok: ok, resp: resp}
-		return nil
+		return sc.attrCall(keys[ki], attrCols[i/votes%len(attrCols)], i%votes, &results[i], &fb[j])
 	})
 	if err != nil {
 		return nil, err
 	}
 	sc.stats.Prompts += len(repair)
-	before = fallback.Makespan()
-	for j := range fb {
-		if fb[j].failed {
-			sc.countFailed(fb[j].failTries, fb[j].fault, fallback)
-			results[repair[j]] = attrVote{failed: true}
-			continue
-		}
-		fallback.Add(fb[j].resp.SimLatency)
-		sc.countCache(fb[j].resp)
-		results[repair[j]] = attrVote{val: fb[j].val, ok: fb[j].ok}
-	}
-	sc.addWall(fallback.Makespan() - before)
+	sc.account(fb, fallback)
 	return results, nil
 }
 
 // mergeVotes resolves one attribute cell from its self-consistency votes:
 // the value observed most often wins; ties break toward the earliest vote
-// seed; all-unparsable vote sets yield NULL.
+// seed; all-unparsable vote sets yield NULL. Two votes count as the same
+// value exactly when their rel.Row.Key strings are equal (see sameKey), and
+// the winner is its first-seen vote's value. A cell has at most Votes
+// votes, so the tally compares pairs in place rather than building keys.
 func mergeVotes(votes []attrVote, t rel.DataType) rel.Value {
-	counts := map[string]int{}
-	values := map[string]rel.Value{}
-	var order []string
-	for _, vote := range votes {
-		if !vote.ok {
+	best, bestN := -1, 0
+	for i := range votes {
+		if !votes[i].ok {
 			continue
 		}
-		k := (rel.Row{vote.val}).AllKey()
-		if _, seen := counts[k]; !seen {
-			values[k] = vote.val
-			order = append(order, k)
+		// Each distinct value is tallied at its first vote, in vote order.
+		first := true
+		for j := 0; j < i; j++ {
+			if votes[j].ok && sameKey(votes[j].val, votes[i].val) {
+				first = false
+				break
+			}
 		}
-		counts[k]++
-	}
-	best := ""
-	bestN := 0
-	for _, k := range order {
-		if counts[k] > bestN {
-			best, bestN = k, counts[k]
+		if !first {
+			continue
+		}
+		n := 1
+		for j := i + 1; j < len(votes); j++ {
+			if votes[j].ok && sameKey(votes[j].val, votes[i].val) {
+				n++
+			}
+		}
+		if n > bestN {
+			best, bestN = i, n
 		}
 	}
-	if bestN == 0 {
+	if best < 0 {
 		return rel.NullOf(t)
 	}
-	return values[best]
+	return votes[best].val
+}
+
+// sameKey reports whether a and b render the same single-value rel.Row.Key
+// string, without rendering it: NULL equals only NULL; numerics compare by
+// float64 bits, NaN equal to NaN and -0 apart from 0 (their keys are "NaN",
+// "-0" and "0"); text compares case-folded as strings.ToLower folds it,
+// edges trimmed; booleans compare by value. Any other pairing — numeric
+// against text, say, where "1e+21" can equal 1e21 — compares the rendered
+// keys.
+func sameKey(a, b rel.Value) bool {
+	if a.IsNull() || b.IsNull() {
+		return a.IsNull() && b.IsNull()
+	}
+	at, bt := a.Type(), b.Type()
+	switch {
+	case at.Numeric() && bt.Numeric():
+		x, y := a.AsFloat(), b.AsFloat()
+		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+	case at == rel.TypeText && bt == rel.TypeText:
+		return equalLower(strings.TrimSpace(a.AsText()), strings.TrimSpace(b.AsText()))
+	case at == rel.TypeBool && bt == rel.TypeBool:
+		return a.AsBool() == b.AsBool()
+	}
+	return rel.Row{a}.AllKey() == rel.Row{b}.AllKey()
 }
 
 // filterUsesOnly reports whether every column reference in e is the named

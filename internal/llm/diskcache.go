@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // DefaultDiskCacheBytes bounds a DiskCache when the caller passes no bound:
@@ -52,6 +54,7 @@ type DiskCache struct {
 	seg       *os.File // active segment, append-only
 	segIndex  int
 	stats     DiskCacheStats
+	buf       []byte // the record being written, reused under mu
 }
 
 // diskEntry is one live completion: the decoded response plus the byte size
@@ -73,6 +76,84 @@ type diskRecord struct {
 	Compl     int    `json:"ct"`
 	Truncated bool   `json:"tr,omitempty"`
 	Deleted   bool   `json:"del,omitempty"`
+}
+
+// appendRecord appends rec's JSON line — exactly the bytes json.Marshal
+// produces for it, then a newline — to b. Records are written on every
+// cache miss, so they are encoded by hand into a buffer the cache reuses;
+// load still decodes them with encoding/json.
+func appendRecord(b []byte, rec *diskRecord) []byte {
+	b = append(b, `{"fp":`...)
+	b = appendJSONString(b, rec.FP)
+	b = append(b, `,"v":`...)
+	b = strconv.AppendInt(b, int64(rec.Version), 10)
+	b = append(b, `,"text":`...)
+	b = appendJSONString(b, rec.Text)
+	b = append(b, `,"pt":`...)
+	b = strconv.AppendInt(b, int64(rec.Prompt), 10)
+	b = append(b, `,"ct":`...)
+	b = strconv.AppendInt(b, int64(rec.Compl), 10)
+	if rec.Truncated {
+		b = append(b, `,"tr":true`...)
+	}
+	if rec.Deleted {
+		b = append(b, `,"del":true`...)
+	}
+	return append(b, "}\n"...)
+}
+
+// appendJSONString appends s as a JSON string the way encoding/json
+// encodes it: quotes, backslashes and control characters escaped, the
+// HTML-sensitive <, > and & as \u003c, \u003e and \u0026, U+2028 and
+// U+2029 escaped, and each invalid UTF-8 byte replaced by \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // DiskCacheStats reports the persistent cache's effectiveness and occupancy.
@@ -256,24 +337,19 @@ func (c *DiskCache) Contains(req CompletionRequest) bool {
 // materialized-view refresh tests and staleness drills.
 func (c *DiskCache) Invalidate(req CompletionRequest) bool {
 	fp := fingerprintAt(c.version, c.Name(), req)
-	rec := diskRecord{FP: fp, Version: c.version, Deleted: true}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return false
-	}
-	data = append(data, '\n')
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[fp]; !ok {
 		return false
 	}
-	if _, err := c.seg.Write(data); err != nil {
+	c.buf = appendRecord(c.buf[:0], &diskRecord{FP: fp, Version: c.version, Deleted: true})
+	if _, err := c.seg.Write(c.buf); err != nil {
 		c.stats.WriteErrors++
 		// The in-memory removal still proceeds: this process stays cold, and
 		// the worst case after a reopen is a stale hit, same as any lost write.
 	}
 	c.removeLocked(fp)
-	c.deadBytes += int64(len(data))
+	c.deadBytes += int64(len(c.buf))
 	return true
 }
 
@@ -296,25 +372,18 @@ func (c *DiskCache) removeLocked(fp string) {
 // — cache/latency markings are stripped so a replayed hit is
 // indistinguishable from the original answer.
 func (c *DiskCache) put(fp string, resp CompletionResponse) {
-	rec := diskRecord{
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// One write per record: a crash loses at most the torn final record.
+	c.buf = appendRecord(c.buf[:0], &diskRecord{
 		FP:        fp,
 		Version:   c.version,
 		Text:      resp.Text,
 		Prompt:    resp.PromptTokens,
 		Compl:     resp.CompletionTokens,
 		Truncated: resp.Truncated,
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		c.mu.Lock()
-		c.stats.WriteErrors++
-		c.mu.Unlock()
-		return
-	}
-	data = append(data, '\n')
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := c.seg.Write(data); err != nil {
+	})
+	if _, err := c.seg.Write(c.buf); err != nil {
 		c.stats.WriteErrors++
 		return
 	}
@@ -323,7 +392,7 @@ func (c *DiskCache) put(fp string, resp CompletionResponse) {
 		PromptTokens:     resp.PromptTokens,
 		CompletionTokens: resp.CompletionTokens,
 		Truncated:        resp.Truncated,
-	}, int64(len(data)))
+	}, int64(len(c.buf)))
 	c.evictLocked()
 	c.maybeCompactLocked()
 }
@@ -378,7 +447,7 @@ func (c *DiskCache) maybeCompactLocked() {
 	ok := true
 	for el := c.order.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*diskEntry)
-		data, err := json.Marshal(diskRecord{
+		c.buf = appendRecord(c.buf[:0], &diskRecord{
 			FP:        e.fp,
 			Version:   c.version,
 			Text:      e.resp.Text,
@@ -386,11 +455,7 @@ func (c *DiskCache) maybeCompactLocked() {
 			Compl:     e.resp.CompletionTokens,
 			Truncated: e.resp.Truncated,
 		})
-		if err != nil {
-			ok = false
-			break
-		}
-		if _, err := w.Write(append(data, '\n')); err != nil {
+		if _, err := w.Write(c.buf); err != nil {
 			ok = false
 			break
 		}

@@ -85,8 +85,27 @@ func Tokenize(text string) []string {
 	return out
 }
 
-// CountTokens returns the number of tokens in text.
-func CountTokens(text string) int { return len(tokenSpans(text)) }
+// CountTokens returns the number of tokens in text, len(tokenSpans(text)),
+// without building the spans: a word counts one token per started 4-rune
+// chunk, every other non-space rune one token.
+func CountTokens(text string) int {
+	n, wordRunes := 0, 0
+	for _, r := range text {
+		switch {
+		case r == ' ' || r == '\t' || r == '\n' || r == '\r':
+			wordRunes = 0
+		case isWordRune(r):
+			if wordRunes%4 == 0 {
+				n++
+			}
+			wordRunes++
+		default:
+			wordRunes = 0
+			n++
+		}
+	}
+	return n
+}
 
 // TruncateTokens returns the prefix of text containing at most maxTokens
 // tokens, cutting mid-text exactly where the budget runs out (as a hosted

@@ -40,10 +40,31 @@ func TestTokenizePunctuation(t *testing.T) {
 
 func TestCountTokensMatchesTokenize(t *testing.T) {
 	f := func(s string) bool {
-		return CountTokens(s) == len(Tokenize(s))
+		n := CountTokens(s)
+		return n == len(Tokenize(s)) && n == len(tokenSpans(s))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	// Word-length boundaries, mixed scripts and invalid UTF-8, which random
+	// strings rarely hit.
+	for _, s := range []string{
+		"", " ", "a", "abc", "abcd", "abcde", "abcdefgh", "abcdefghi",
+		"The cat sat.", "a|b || c", "snake_case_name42", "  lead\ttrail\r\n",
+		"Côte d'Ivoire", "日本語 text", "\xff\xfeab\xc3", "x\u00a0y", "1,408.5 (2021)",
+	} {
+		if got, want := CountTokens(s), len(tokenSpans(s)); got != want {
+			t.Errorf("CountTokens(%q) = %d, tokenSpans has %d", s, got, want)
+		}
+	}
+}
+
+// TestCountTokensAllocs pins CountTokens to zero allocations: scan pricing
+// calls it on every plan-cache miss.
+func TestCountTokensAllocs(t *testing.T) {
+	text := strings.Repeat("TASK: KEYS for country | name (a sovereign state), 12 rows.\n", 8)
+	if got := testing.AllocsPerRun(100, func() { CountTokens(text) }); got != 0 {
+		t.Fatalf("CountTokens allocated %.1f times, want 0", got)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"llmsql/internal/rel"
 	"llmsql/internal/storage"
@@ -39,8 +40,13 @@ type Domain struct {
 	Description string
 	// Schema declares the columns (with Desc strings for prompting).
 	Schema rel.Schema
-	// Entities holds the rows sorted by descending prominence.
+	// Entities holds the rows sorted by descending prominence. It must not
+	// change after the first Entity or ProminenceDecile lookup, which
+	// indexes it.
 	Entities []Entity
+
+	indexOnce sync.Once
+	byKey     map[string]int // lower-cased key -> first entity with it
 }
 
 // Rows returns the ground-truth rows in prominence order.
@@ -54,13 +60,30 @@ func (d *Domain) Rows() []rel.Row {
 
 // Entity returns the entity with the given key (case-insensitive), or nil.
 func (d *Domain) Entity(key string) *Entity {
-	key = strings.ToLower(strings.TrimSpace(key))
-	for i := range d.Entities {
-		if strings.ToLower(d.Entities[i].Key) == key {
-			return &d.Entities[i]
-		}
+	if i := d.index(key); i >= 0 {
+		return &d.Entities[i]
 	}
 	return nil
+}
+
+// index returns the position of the first entity whose lower-cased key
+// equals the lower-cased, trimmed key, or -1. The map is built once, on
+// the first lookup (simulated models look entities up from several
+// goroutines).
+func (d *Domain) index(key string) int {
+	d.indexOnce.Do(func() {
+		d.byKey = make(map[string]int, len(d.Entities))
+		for i := range d.Entities {
+			k := strings.ToLower(d.Entities[i].Key)
+			if _, dup := d.byKey[k]; !dup {
+				d.byKey[k] = i
+			}
+		}
+	})
+	if i, ok := d.byKey[strings.ToLower(strings.TrimSpace(key))]; ok {
+		return i
+	}
+	return -1
 }
 
 // World is the generated universe.
@@ -389,11 +412,8 @@ func round1(f float64) float64 { return math.Round(f*10) / 10 }
 // ProminenceDecile returns 0..9 for an entity's rank within its domain
 // (0 = most prominent decile), used by the popularity experiment.
 func (d *Domain) ProminenceDecile(key string) int {
-	key = strings.ToLower(strings.TrimSpace(key))
-	for i := range d.Entities {
-		if strings.ToLower(d.Entities[i].Key) == key {
-			return i * 10 / len(d.Entities)
-		}
+	if i := d.index(key); i >= 0 {
+		return i * 10 / len(d.Entities)
 	}
 	return -1
 }

@@ -1,6 +1,8 @@
 package world
 
 import (
+	"strings"
+	"sync"
 	"testing"
 
 	"llmsql/internal/rel"
@@ -243,4 +245,86 @@ func TestSchemasHaveDescriptions(t *testing.T) {
 		}
 	}
 	_ = rel.TypeInt // keep the import for clarity of intent
+}
+
+// linearIndex is the lookup Entity and ProminenceDecile made before the
+// index: a scan for the first entity whose lower-cased key equals the
+// lower-cased, trimmed key (lowered holds the entities' lower-cased keys,
+// computed once so the scan stays cheap). It returns -1 on a miss.
+func linearIndex(lowered []string, key string) int {
+	key = strings.ToLower(strings.TrimSpace(key))
+	for i, k := range lowered {
+		if k == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestEntityIndexMatchesLinearScan: the indexed lookups return what the
+// linear scan returned, for every key of the worlds of seeds 1–5 in
+// several spellings, and nil or -1 for misses.
+func TestEntityIndexMatchesLinearScan(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		w := Generate(Config{Seed: seed})
+		for _, name := range w.DomainNames() {
+			d := w.Domain(name)
+			lowered := make([]string, len(d.Entities))
+			var probes []string
+			for i, e := range d.Entities {
+				lowered[i] = strings.ToLower(e.Key)
+				k := e.Key
+				probes = append(probes, k, strings.ToUpper(k), strings.ToLower(k),
+					"  "+k+"\t", "\n"+strings.ToUpper(k)+" ", k+"x", "x"+k, strings.ReplaceAll(k, " ", "  "))
+			}
+			probes = append(probes, "", " ", "nope", "K", "İstanbul")
+			for _, p := range probes {
+				i := linearIndex(lowered, p)
+				var want *Entity
+				wantDecile := -1
+				if i >= 0 {
+					want, wantDecile = &d.Entities[i], i*10/len(d.Entities)
+				}
+				if got := d.Entity(p); got != want {
+					t.Fatalf("seed %d %s: Entity(%q) = %v, linear scan %v", seed, name, p, got, want)
+				}
+				if got := d.ProminenceDecile(p); got != wantDecile {
+					t.Fatalf("seed %d %s: ProminenceDecile(%q) = %d, linear scan %d", seed, name, p, got, wantDecile)
+				}
+			}
+		}
+	}
+}
+
+// TestEntityIndexKeepsFirstOfCollidingKeys: keys that lower to the same
+// string resolve to the first entity, as the scan did.
+func TestEntityIndexKeepsFirstOfCollidingKeys(t *testing.T) {
+	d := &Domain{Entities: []Entity{{Key: "Alpha"}, {Key: "ALPHA"}, {Key: "alpha"}, {Key: "Beta"}}}
+	if e := d.Entity("alpha"); e != &d.Entities[0] {
+		t.Fatalf("Entity(alpha) = %v, want the first entity", e)
+	}
+	if e := d.Entity(" BETA "); e != &d.Entities[3] {
+		t.Fatalf("Entity(BETA) = %v, want Beta", e)
+	}
+}
+
+// TestEntityIndexConcurrentFirstLookup: the first lookups may race (the
+// simulated model answers from several workers); the index is built once
+// and every goroutine sees it (run under -race).
+func TestEntityIndexConcurrentFirstLookup(t *testing.T) {
+	d := Generate(Config{Seed: 3, Countries: 40}).Domain("country")
+	keys := d.TopKeys(40)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, k := range keys {
+				if e := d.Entity(k); e == nil || e.Key != k {
+					t.Errorf("Entity(%q) = %v", k, e)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
