@@ -145,4 +145,5 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParseAttrBatchCompletion$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParseAttrCompletion$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMergeVotes$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLowerKernels$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/llm -run '^$$' -fuzz '^FuzzDiskRecordEncoding$$' -fuzztime $(FUZZTIME)

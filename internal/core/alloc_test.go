@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"llmsql/internal/llm"
 	"llmsql/internal/rel"
 )
 
@@ -24,7 +25,7 @@ func TestNormalizeKeyTextCanonicalAllocs(t *testing.T) {
 }
 
 func TestLooksLikeProseAllocs(t *testing.T) {
-	for _, line := range []string{"United Kingdom | London | 67", "Here Are The Rows", "France"} {
+	for _, line := range []string{"United Kingdom | London | 67", "Here Are The Rows", "France", "Côte d'Ivoire | Yamoussoukro"} {
 		if got := testing.AllocsPerRun(100, func() { looksLikeProse(line) }); got != 0 {
 			t.Errorf("looksLikeProse(%q) allocated %.1f times, want 0", line, got)
 		}
@@ -99,6 +100,54 @@ func TestParseKeysCompletionAllocs(t *testing.T) {
 		if got != 2 {
 			t.Errorf("parsing a %d-line KEYS completion allocated %.1f times, want 2", len(rows), got)
 		}
+	}
+}
+
+// roundsScan returns a scan whose runRounds runs the given number of
+// serial sampling rounds, convergence never stopping it early.
+func roundsScan(rounds int) *llmScan {
+	cfg := DefaultConfig()
+	cfg.MaxRounds = rounds
+	cfg.StableRounds = rounds
+	cfg.Temperature = 0.7
+	cfg.Parallelism = 1
+	return &llmScan{store: newLLMStore(nil, nil, &backendStack{}, cfg), strategy: StrategyKeyThenAttr}
+}
+
+// runRoundsAllocs measures one runRounds call whose every round parses to
+// the same key-only rows; the completion and its parse cost nothing here,
+// so what is counted is the round loop's own entity bookkeeping.
+func runRoundsAllocs(t *testing.T, rounds int, rows []rel.Row) float64 {
+	sc := roundsScan(rounds)
+	issue := func(int64) (llm.CompletionResponse, error) { return llm.CompletionResponse{}, nil }
+	parse := func(string) []rel.Row { return rows }
+	return testing.AllocsPerRun(100, func() {
+		sc.stats = ScanStats{}
+		out, err := sc.runRounds(false, 0, issue, parse)
+		if err != nil || len(out) != len(rows) || sc.stats.Rounds != rounds {
+			t.Fatalf("runRounds: %d rows after %d rounds, err %v", len(out), sc.stats.Rounds, err)
+		}
+	})
+}
+
+// TestRunRoundsRepeatedKeyAllocs pins a key repeated in a later sampling
+// round to zero allocations: three rounds of the same keys cost what one
+// round does (each case-folded new key and the output slice).
+func TestRunRoundsRepeatedKeyAllocs(t *testing.T) {
+	keys := []rel.Row{{rel.Text("France")}, {rel.Text("United Kingdom")}, {rel.Text("Côte d'Ivoire")}, {rel.Text("japan")}}
+	one, three := runRoundsAllocs(t, 1, keys), runRoundsAllocs(t, 3, keys)
+	if three != one {
+		t.Fatalf("3 rounds of the same keys allocated %.1f times, 1 round %.1f: repeats must be free", three, one)
+	}
+}
+
+// TestRunRoundsOneRowAllocs pins the smallest enumeration, one round of
+// one row, to the two allocations it cost with string-keyed maps: the
+// folded key and the output slice. The entity numbering lives on the
+// stack until it outgrows its buffers.
+func TestRunRoundsOneRowAllocs(t *testing.T) {
+	if got := runRoundsAllocs(t, 1, []rel.Row{{rel.Text("France")}}); got > 2 {
+		t.Fatalf("a one-round, one-row enumeration allocated %.1f times, want at most 2", got)
 	}
 }
 

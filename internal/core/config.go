@@ -85,8 +85,13 @@ type Config struct {
 	// prompts in demand-driven prefetch windows, launching no new window
 	// once downstream has consumed enough rows. Results are byte-identical
 	// to the unpushed plan at any Parallelism/BatchSize — the scan may
-	// over-fetch at most one prefetch window, never under-fetch. Disabling
-	// it restores the fully materializing scan (ablation/debugging).
+	// over-fetch at most one prefetch window, never under-fetch. Windows
+	// apply only where a LIMIT can stop the scan: at Parallelism > 1 a
+	// scan with no LIMIT anywhere above it (exec.ScanRequest.NoLimitAbove)
+	// attributes every key in one fan-out, exactly as with this option
+	// off; at Parallelism 1 every scan keeps its windows, whose serial call
+	// order order-dependent layers observe. Disabling it restores the
+	// fully materializing scan everywhere (ablation/debugging).
 	LimitPushdown bool
 	// BindJoin lets joins pass sideways information into scans: the join
 	// planner drains the cheaper join side first and pushes its distinct

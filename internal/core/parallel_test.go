@@ -351,6 +351,51 @@ func TestRunTasksLowestErrorWhenHigherFailsFirst(t *testing.T) {
 	}
 }
 
+// TestRunTasksAllocs pins the fan-out's own cost: nothing when serial, and
+// two allocations otherwise — the shared pool state and the one worker
+// function its goroutines share — whatever the width and task count.
+func TestRunTasksAllocs(t *testing.T) {
+	slots := make([]int, 24)
+	task := func(i int) error { slots[i] = i; return nil }
+	for _, c := range []struct {
+		p, n int
+		want float64
+	}{{1, 24, 0}, {4, 1, 0}, {2, 24, 2}, {8, 24, 2}, {8, 3, 2}} {
+		if got := testing.AllocsPerRun(100, func() { _ = runTasks(c.p, c.n, task) }); got != c.want {
+			t.Errorf("runTasks(%d, %d) allocated %.1f times, want %.0f", c.p, c.n, got, c.want)
+		}
+	}
+}
+
+// TestRunTasksCallerWorks makes both tasks of a width-2 fan-out wait for
+// each other, so each of the two workers holds one: one of them must be
+// the calling goroutine, since only one other goroutine is started.
+func TestRunTasksCallerWorks(t *testing.T) {
+	caller := goroutineID()
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	ids := make([]string, 2)
+	if err := runTasks(2, 2, func(i int) error {
+		ids[i] = goroutineID()
+		arrived.Done()
+		arrived.Wait()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ids[0] == ids[1] || (ids[0] != caller && ids[1] != caller) {
+		t.Fatalf("tasks ran on goroutines %v, want the caller %s and one other", ids, caller)
+	}
+}
+
+// goroutineID returns the running goroutine's number from its stack header
+// ("goroutine 7 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	return f[1]
+}
+
 // startLog records which task indices started.
 type startLog struct {
 	mu      sync.Mutex

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math/bits"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -140,10 +142,15 @@ func normalizeKeyText(s string) string {
 
 // isCanonicalKey reports whether s has no whitespace but single interior
 // spaces (whitespace as strings.Fields splits on), so that
-// normalizeKeyText(s) == s.
+// normalizeKeyText(s) == s. Printable ASCII other than the space, most of
+// any key, is passed over with one comparison per byte.
 func isCanonicalKey(s string) bool {
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
+		c := s[i]
+		if c-'!' < utf8.RuneSelf-'!' {
+			continue
+		}
+		switch {
 		case c == ' ':
 			if i == 0 || i == len(s)-1 || s[i-1] == ' ' {
 				return false
@@ -175,10 +182,38 @@ func lowerRune(s string) (rune, int) {
 	return unicode.ToLower(r), n
 }
 
+// lowerASCII lowers one ASCII byte; other bytes come back unchanged.
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		c += 'a' - 'A'
+	}
+	return c
+}
+
+// asciiPrefix returns the length of the longest prefix of s that is all
+// ASCII.
+func asciiPrefix(s string) int {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return i
+		}
+	}
+	return len(s)
+}
+
 // appendLower appends strings.ToLower(s) to b. The parsers fold case into
 // a stack buffer with it rather than allocating a lowered copy per line.
+// The ASCII prefix of s is copied and folded byte by byte in place; from
+// the first non-ASCII byte on, runes are lowered one at a time, as
+// strings.ToLower lowers them.
 func appendLower(b []byte, s string) []byte {
-	for s != "" {
+	n := asciiPrefix(s)
+	start := len(b)
+	b = append(b, s[:n]...)
+	for i := start; i < len(b); i++ {
+		b[i] = lowerASCII(b[i])
+	}
+	for s = s[n:]; s != ""; {
 		r, n := lowerRune(s)
 		b = utf8.AppendRune(b, r)
 		s = s[n:]
@@ -190,21 +225,23 @@ func appendLower(b []byte, s string) []byte {
 // into; longer input spills to the heap.
 const lowerBufSize = 256
 
-// containsAny reports whether lower contains any of the markers.
-func containsAny(lower []byte, markers [][]byte) bool {
-	for _, m := range markers {
-		if bytes.Contains(lower, m) {
-			return true
+// equalLower reports whether strings.ToLower(a) == strings.ToLower(b):
+// whether their runes lower pairwise to the same runes. Bytes are compared
+// folded while both sides are ASCII; from the first non-ASCII byte on
+// either side the rest is compared rune by rune. Either way it stops at
+// the first difference.
+func equalLower(a, b string) bool {
+	i := 0
+	for ; i < len(a) && i < len(b); i++ {
+		ca, cb := a[i], b[i]
+		if ca|cb >= utf8.RuneSelf {
+			break
+		}
+		if ca != cb && lowerASCII(ca) != lowerASCII(cb) {
+			return false
 		}
 	}
-	return false
-}
-
-// equalLower reports whether strings.ToLower(a) == strings.ToLower(b):
-// whether their runes lower pairwise to the same runes, which it checks
-// rune by rune, stopping at the first difference.
-func equalLower(a, b string) bool {
-	for a != "" && b != "" {
+	for a, b = a[i:], b[i:]; a != "" && b != ""; {
 		ra, na := lowerRune(a)
 		rb, nb := lowerRune(b)
 		if ra != rb {
@@ -213,6 +250,101 @@ func equalLower(a, b string) bool {
 		a, b = a[na:], b[nb:]
 	}
 	return a == "" && b == ""
+}
+
+// markerSet is a set of at most eight lower-case ASCII phrases, each at
+// least two bytes long, to look for in lines after strings.ToLower.
+type markerSet struct {
+	markers [][]byte
+	// first and second have bit j set for each byte, in either case, that
+	// is marker j's first or second byte. A marker can start at a position
+	// only if the bytes there are in both, which few positions are.
+	first, second [256]uint8
+}
+
+func newMarkerSet(markers ...string) *markerSet {
+	if len(markers) > 8 {
+		panic("core: more than eight markers")
+	}
+	m := &markerSet{}
+	for j, mk := range markers {
+		if len(mk) < 2 || asciiPrefix(mk) < len(mk) || strings.ToLower(mk) != mk {
+			panic("core: marker " + strconv.Quote(mk) + " is not lower-case ASCII of two bytes or more")
+		}
+		m.markers = append(m.markers, []byte(mk))
+		for k, t := range []*[256]uint8{&m.first, &m.second} {
+			t[mk[k]] |= 1 << j
+			if 'a' <= mk[k] && mk[k] <= 'z' {
+				t[mk[k]-('a'-'A')] |= 1 << j
+			}
+		}
+	}
+	return m
+}
+
+// in reports whether strings.ToLower(s) contains any of the markers. An
+// ASCII line is searched in place, its bytes folded as they are compared.
+// At the first non-ASCII byte the line is lowered rune by rune into a
+// stack buffer and searched there, since some runes lower to ASCII (the
+// Kelvin sign U+212A lowers to 'k'). A match found before that byte lies
+// wholly in the ASCII prefix, so it is a match in the lowered line too.
+func (m *markerSet) in(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			var buf [lowerBufSize]byte
+			lower := appendLower(buf[:0], s)
+			for _, mk := range m.markers {
+				if bytes.Contains(lower, mk) {
+					return true
+				}
+			}
+			return false
+		}
+		if i+1 == len(s) {
+			break // markers are two bytes or more
+		}
+		for set := m.first[c] & m.second[s[i+1]]; set != 0; set &= set - 1 {
+			if hasLowerPrefix(s[i:], m.markers[bits.TrailingZeros8(set)]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// hasLowerPrefix reports whether s starts with lower-case ASCII marker
+// once its bytes are folded.
+func hasLowerPrefix(s string, marker []byte) bool {
+	if len(s) < len(marker) {
+		return false
+	}
+	for i := 0; i < len(marker); i++ {
+		if lowerASCII(s[i]) != marker[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// isSeparator splits "The X of Y is VALUE." answers.
+var isSeparator = []byte(" is ")
+
+// lastIndexIs returns the offset of the last " is " in
+// strings.ToLower(line), or -1. For an ASCII line lowering keeps every
+// offset, so line is searched in place; otherwise it is lowered into a
+// stack buffer first.
+func lastIndexIs(line string) int {
+	if asciiPrefix(line) < len(line) {
+		var buf [lowerBufSize]byte
+		return bytes.LastIndex(appendLower(buf[:0], line), isSeparator)
+	}
+	for i := len(line) - len(isSeparator); i >= 0; i-- {
+		if hasLowerPrefix(line[i:], isSeparator) {
+			return i
+		}
+	}
+	return -1
 }
 
 // splitRowLine turns a completion line into fields, appended to buf (the
@@ -281,7 +413,7 @@ func splitRowLine(line string, wantFields int, tolerant bool, buf []string) ([]s
 }
 
 // proseMarkers are the lower-case phrases that mark a commentary line.
-var proseMarkers = [][]byte{[]byte("here are"), []byte("no further"), []byte("i do not"), []byte("i don't"), []byte("end of list"), []byte("i'm not sure"), []byte("as requested")}
+var proseMarkers = newMarkerSet("here are", "no further", "i do not", "i don't", "end of list", "i'm not sure", "as requested")
 
 // looksLikeProse detects preamble/closing lines such as "Here are the rows:"
 // or "(end of list)".
@@ -292,8 +424,7 @@ func looksLikeProse(line string) bool {
 	if strings.HasPrefix(line, "(") && strings.HasSuffix(line, ")") {
 		return true
 	}
-	var buf [lowerBufSize]byte
-	return containsAny(appendLower(buf[:0], line), proseMarkers)
+	return proseMarkers.in(line)
 }
 
 // parseField parses one field into the column type. rescued reports that a
@@ -412,7 +543,7 @@ func parseAttrBatchCompletion(text string, keys []string, t rel.DataType, tolera
 }
 
 // refusalMarkers are the lower-case phrases that mark a refusal.
-var refusalMarkers = [][]byte{[]byte("i'm not sure"), []byte("i am not sure"), []byte("i do not know"), []byte("i don't know"), []byte("unknown")}
+var refusalMarkers = newMarkerSet("i'm not sure", "i am not sure", "i do not know", "i don't know", "unknown")
 
 // parseAttrCompletion extracts a single value from an ATTR completion,
 // handling the phrasings the model uses ("Paris", "Paris.",
@@ -425,17 +556,15 @@ func parseAttrCompletion(text string, t rel.DataType, tolerant bool) (rel.Value,
 	if line == "" {
 		return rel.NullOf(t), false
 	}
-	var buf [lowerBufSize]byte
-	lower := appendLower(buf[:0], line)
-	if containsAny(lower, refusalMarkers) {
+	if refusalMarkers.in(line) {
 		return rel.NullOf(t), false
 	}
-	// "The X of Y is VALUE." idx is an offset into lower, applied to line.
-	// Unicode lowering can change byte lengths, so on non-ASCII input it
-	// may not mark " is " in line itself; that reading is kept so parsed
-	// values stay as they were, but an offset past the end of line is not
-	// used.
-	if idx := bytes.LastIndex(lower, []byte(" is ")); idx >= 0 && idx+len(" is ") <= len(line) && tolerant {
+	// "The X of Y is VALUE." idx is an offset into the lowered line,
+	// applied to line. Unicode lowering can change byte lengths, so on
+	// non-ASCII input it may not mark " is " in line itself; that reading
+	// is kept so parsed values stay as they were, but an offset past the
+	// end of line is not used.
+	if idx := lastIndexIs(line); idx >= 0 && idx+len(" is ") <= len(line) && tolerant {
 		candidate := strings.TrimSpace(line[idx+4:])
 		candidate = strings.TrimSuffix(candidate, ".")
 		if v, err := rel.ParseTyped(candidate, t); err == nil && !v.IsNull() {

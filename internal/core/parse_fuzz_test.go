@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -240,6 +241,54 @@ func FuzzParseAttrCompletion(f *testing.F) {
 		if tolerant {
 			if _, strictOK := parseAttrCompletion(text, ty, false); strictOK && !ok {
 				t.Fatalf("strict parsing accepted %q, tolerant parsing did not", text)
+			}
+		}
+	})
+}
+
+// FuzzLowerKernels checks the case-folding kernels the parsers search and
+// compare with against strings.ToLower on arbitrary bytes: appendLower
+// must produce strings.ToLower's bytes, equalLower must agree with == on
+// the lowered strings, and a marker search must agree with bytes.Contains
+// (bytes.LastIndex for " is ") on the lowered line — for the prose and
+// refusal sets and for b itself as a marker when it is lower-case ASCII of
+// two bytes or more.
+// Their ASCII fast paths must not change an answer on any input.
+func FuzzLowerKernels(f *testing.F) {
+	seeds := []string{
+		"İ", "İstanbul", "K", "Kenya", "UNKNOWN", "HeRe ArE tHe RoWs:", "Kenya",
+		"\xff", "\xc3", "a\xffb", "\xe2\x84", "I DON'T KNOW", "i'm not sure", "unknown",
+		"The capital of İstanbul IS Paris", "Ruſsia", "here are", " is ", "",
+	}
+	for i, a := range seeds {
+		f.Add(a, seeds[(i+1)%len(seeds)])
+		f.Add(a, strings.ToUpper(a))
+	}
+	for _, s := range parseSeeds() {
+		f.Add(s, "here are")
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		la, lb := strings.ToLower(a), strings.ToLower(b)
+		if got := string(appendLower([]byte("x"), a)); got != "x"+la {
+			t.Fatalf("appendLower(%q) = %q, strings.ToLower = %q", a, got[1:], la)
+		}
+		if got, want := equalLower(a, b), la == lb; got != want {
+			t.Fatalf("equalLower(%q, %q) = %v, want %v", a, b, got, want)
+		}
+		if got, want := lastIndexIs(a), strings.LastIndex(la, " is "); got != want {
+			t.Fatalf("lastIndexIs(%q) = %d, want %d", a, got, want)
+		}
+		sets := []*markerSet{proseMarkers, refusalMarkers}
+		if len(b) >= 2 && len(b) <= 32 && b == lb && asciiPrefix(b) == len(b) {
+			sets = append(sets, newMarkerSet(b))
+		}
+		for _, m := range sets {
+			want := false
+			for _, mk := range m.markers {
+				want = want || bytes.Contains([]byte(la), mk)
+			}
+			if got := m.in(a); got != want {
+				t.Fatalf("markers %q in %q = %v, want %v", m.markers, a, got, want)
 			}
 		}
 	})

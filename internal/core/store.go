@@ -273,6 +273,7 @@ func (s *LLMStore) Scan(req exec.ScanRequest) (exec.RowIter, error) {
 		filter:   filter,
 		limit:    limit,
 		bound:    bound,
+		drain:    req.NoLimitAbove,
 		stats:    ScanStats{Table: t.Name, Strategy: strategy, Auto: auto},
 	}
 	if bound != nil {
@@ -364,6 +365,9 @@ type llmScan struct {
 	// bind join passed in: only enumerated keys in this set reach the
 	// attribute phase (key-then-attr only; already gated on config).
 	bound []string
+	// drain reports that no LIMIT sits above the scan in the plan
+	// (exec.ScanRequest.NoLimitAbove), so its rows will be read to the end.
+	drain bool
 	stats ScanStats
 	wall  time.Duration // simulated critical-path latency of this scan
 }
@@ -558,8 +562,12 @@ func (sc *llmScan) runRounds(promptVaries bool, keyPos int, issue func(seed int6
 		}
 	}
 
-	appearances := map[string]int{} // rounds in which each entity appeared
-	seenThisRound := map[string]bool{}
+	// Entities are numbered in order of first appearance (see
+	// numberEntity); tallies[id] holds entity id's appearance count and the
+	// last round it appeared in.
+	ids := map[string]int{}
+	var tallyBuf [16]entityTally
+	tallies := tallyBuf[:0]
 	dedup := sc.cfg().Dedup
 	var out []rel.Row
 	stable := 0
@@ -582,18 +590,18 @@ func (sc *llmScan) runRounds(promptVaries bool, keyPos int, issue func(seed int6
 		sc.countCache(resp)
 		rows := parse(resp.Text)
 		newThisRound := 0
-		clear(seenThisRound)
 		for _, row := range rows {
-			key := entityKey(row, keyPos)
 			// An entity was seen before this row if an earlier row of this
-			// round named it or an earlier round did.
-			seen := seenThisRound[key]
-			if !seen {
-				seenThisRound[key] = true
-				seen = appearances[key] > 0
-				appearances[key]++
+			// round named it or an earlier round did: if it has a number.
+			id, isNew := numberEntity(ids, row, keyPos)
+			if isNew {
+				tallies = append(tallies, entityTally{round: -1})
 			}
-			if seen {
+			if t := &tallies[id]; t.round != round {
+				t.round = round
+				t.appearances++
+			}
+			if !isNew {
 				// Convergence always tracks entity novelty, but only the
 				// dedup feature (ablated in Table 7) suppresses the
 				// duplicate row itself.
@@ -616,15 +624,43 @@ func (sc *llmScan) runRounds(promptVaries bool, keyPos int, issue func(seed int6
 			stable = 0
 		}
 	}
-	out = sc.filterByConfidence(out, appearances, keyPos)
+	out = sc.filterByConfidence(out, ids, tallies, keyPos)
 	return out, nil
+}
+
+// entityTally is one enumerated entity's record across sampling rounds.
+type entityTally struct {
+	appearances int // rounds in which the entity appeared
+	round       int // the last of them
+}
+
+// numberEntity returns the number ids gives row's entity — its key as
+// entityKey spells it — and whether the entity is new, in which case it
+// is numbered len(ids). The key is case-folded into a stack buffer for
+// the lookup, so a known entity costs no allocation; a new one costs its
+// folded key string, and nothing when folding left the key as it was.
+func numberEntity(ids map[string]int, row rel.Row, keyPos int) (int, bool) {
+	key := normalizeKeyText(row[keyPos].AsText())
+	var buf [lowerBufSize]byte
+	lower := appendLower(buf[:0], key)
+	if id, ok := ids[string(lower)]; ok {
+		return id, false
+	}
+	id := len(ids)
+	if string(lower) == key {
+		ids[key] = id
+	} else {
+		ids[string(lower)] = id
+	}
+	return id, true
 }
 
 // filterByConfidence drops entities whose appearance frequency across the
 // sampling rounds falls below Config.MinConfidence. Hallucinated rows tend
 // to be one-off samples while real entities recur, so the filter trades a
-// little recall for precision (swept in Table 8).
-func (sc *llmScan) filterByConfidence(rows []rel.Row, appearances map[string]int, keyPos int) []rel.Row {
+// little recall for precision (swept in Table 8). ids and tallies are
+// runRounds' entity numbering and per-entity records.
+func (sc *llmScan) filterByConfidence(rows []rel.Row, ids map[string]int, tallies []entityTally, keyPos int) []rel.Row {
 	minConf := sc.cfg().MinConfidence
 	rounds := sc.stats.Rounds
 	if minConf <= 0 || rounds <= 1 {
@@ -637,7 +673,8 @@ func (sc *llmScan) filterByConfidence(rows []rel.Row, appearances map[string]int
 	}
 	kept := rows[:0]
 	for _, row := range rows {
-		conf := float64(appearances[entityKey(row, keyPos)]) / float64(rounds)
+		id, _ := numberEntity(ids, row, keyPos)
+		conf := float64(tallies[id].appearances) / float64(rounds)
 		if conf+1e-9 < minConf {
 			sc.stats.LowConfidenceDropped++
 			continue
@@ -768,7 +805,8 @@ func (sc *llmScan) attrCall(key string, c, v int, vote *attrVote, out *callOutco
 // only when the consumer demands a row beyond what is buffered, so a LIMIT
 // upstream that stops pulling stops the spend after at most one window of
 // over-fetch. Rows stream in key order, so at any Parallelism/BatchSize the
-// emitted prefix is byte-identical to the fully materialized scan.
+// emitted prefix is byte-identical to the fully materialized scan. Where no
+// LIMIT can stop the scan, the whole phase may be one window (oneWindow).
 //
 // Enumeration rows are key-only: KEYS completions are parsed against the
 // key column's own one-column schema, so each enumerated row is the key
@@ -826,10 +864,8 @@ func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 		keys[i] = row[0].AsText()
 	}
 	votes := sc.cfg().Votes
-	// Without limit pushdown every key is attributed in one window — the
-	// fully materializing scan, bit-for-bit.
 	window := len(keyRows)
-	if sc.cfg().LimitPushdown {
+	if !sc.oneWindow() {
 		window = plan.PrefetchWindow(sc.cfg().Parallelism, len(attrCols), votes, sc.cfg().BatchSize, sc.limit)
 	}
 	if window < 1 {
@@ -849,6 +885,19 @@ func (sc *llmScan) startKeyThenAttr() (func() (rel.Row, bool, error), error) {
 		fallback: llm.NewSched(sc.cfg().Parallelism),
 	}
 	return st.nextRow, nil
+}
+
+// oneWindow reports whether the attribute phase runs as one fan-out over
+// every surviving key — the fully materializing scan, bit-for-bit —
+// rather than in demand-driven prefetch windows. Without limit pushdown it
+// always does. With it, a scan no LIMIT sits above and that has no limit
+// hint is read to the end anyway, so at Parallelism > 1 one fan-out keeps
+// the worker pool full instead of running a short fan-out per window. At
+// Parallelism 1 the windows stay: there the calls run in a serial order
+// that order-dependent layers (a byte-bounded disk cache's LRU, the
+// circuit breaker) observe, and windowing is that order.
+func (sc *llmScan) oneWindow() bool {
+	return !sc.cfg().LimitPushdown || (sc.drain && sc.limit == 0 && sc.cfg().Parallelism > 1)
 }
 
 // keyOnlyConjuncts returns the pushed conjuncts that reference no column

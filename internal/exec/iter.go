@@ -49,6 +49,12 @@ type ScanRequest struct {
 	// An empty non-nil slice means no key can match (the scan may return
 	// nothing at all).
 	Keys []string
+	// NoLimitAbove reports that no LIMIT sits anywhere above this scan in
+	// the plan (plan.ScanNode.NoLimitAbove): unless an operator above it
+	// fails, its rows are read to the end, so a source may retrieve them
+	// all at once rather than on demand. The zero value promises nothing,
+	// and sources then stream on demand as for a LIMIT.
+	NoLimitAbove bool
 }
 
 // Source provides table access for scans.

@@ -181,3 +181,71 @@ func TestSelectivityScalesEstimates(t *testing.T) {
 		t.Fatal("selectivity did not shrink paged tokens")
 	}
 }
+
+// TestMarkNoLimitAbove checks that the optimizer marks a scan exactly when
+// no LimitNode is among its ancestors — conservatively, so a scan under a
+// sort, aggregate, DISTINCT, join or unpushed filter beneath a LIMIT stays
+// unmarked though the limit hint never reached it — and that the mark does
+// not depend on Options.LimitPushdown.
+func TestMarkNoLimitAbove(t *testing.T) {
+	cat := limitTestCatalog()
+	cat["movie"] = rel.NewSchema(
+		rel.Column{Name: "title", Type: rel.TypeText, Key: true},
+		rel.Column{Name: "country", Type: rel.TypeText},
+	)
+	cases := []struct {
+		query  string
+		marked int // scans marked, of all scans in the plan
+		scans  int
+	}{
+		{"SELECT name FROM country", 1, 1},
+		{"SELECT name FROM country WHERE population > 5", 1, 1},
+		{"SELECT COUNT(*) FROM country", 1, 1},
+		{"SELECT name FROM country LIMIT 3", 0, 1},
+		{"SELECT name FROM country LIMIT 0", 0, 1},
+		{"SELECT name FROM country ORDER BY name LIMIT 3", 0, 1},
+		{"SELECT COUNT(*) FROM country LIMIT 3", 0, 1},
+		{"SELECT DISTINCT capital FROM country LIMIT 3", 0, 1},
+		{"SELECT * FROM (SELECT name, population FROM country) s WHERE s.population > 5 LIMIT 2", 0, 1},
+		{"SELECT * FROM (SELECT name FROM country LIMIT 2) s", 0, 1},
+		{"SELECT m.title, c.capital FROM movie m JOIN country c ON m.country = c.name", 2, 2},
+		{"SELECT m.title, c.capital FROM movie m JOIN country c ON m.country = c.name LIMIT 5", 0, 2},
+		{"SELECT title FROM movie WHERE country IN (SELECT name FROM country)", 2, 2},
+		{"SELECT title FROM movie WHERE country IN (SELECT name FROM country LIMIT 3)", 1, 2},
+	}
+	for _, opts := range []Options{DefaultOptions(), {}} {
+		for _, c := range cases {
+			sel, err := sql.ParseSelect(c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			node, err := PlanOpts(sel, cat, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", c.query, err)
+			}
+			marked, scans := 0, 0
+			var walk func(n Node, underLimit bool)
+			walk = func(n Node, underLimit bool) {
+				switch x := n.(type) {
+				case *ScanNode:
+					scans++
+					if x.NoLimitAbove {
+						marked++
+					}
+					if x.NoLimitAbove == underLimit {
+						t.Errorf("%s (%+v): scan %s marked %v under a limit: %v", c.query, opts, x.Alias, x.NoLimitAbove, underLimit)
+					}
+				case *LimitNode:
+					underLimit = true
+				}
+				for _, ch := range n.Children() {
+					walk(ch, underLimit)
+				}
+			}
+			walk(node, false)
+			if marked != c.marked || scans != c.scans {
+				t.Errorf("%s (%+v): %d of %d scans marked, want %d of %d:\n%s", c.query, opts, marked, scans, c.marked, c.scans, Explain(node))
+			}
+		}
+	}
+}

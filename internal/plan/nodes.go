@@ -42,6 +42,13 @@ type ScanNode struct {
 	// that ignores or violates the hint cannot change results. 0 means no
 	// hint.
 	Limit int64
+	// NoLimitAbove reports that no LimitNode is an ancestor of this scan,
+	// so nothing in the plan stops pulling its rows early on a row count:
+	// short of an error, the scan is read to the end. The optimizer sets
+	// it on every such scan (see markNoLimitAbove); a scan under a LIMIT
+	// stays unmarked even when a sort, aggregate, join or filter in
+	// between kept the Limit hint from reaching it.
+	NoLimitAbove bool
 	// Decision, when non-nil, is the scan-cost decision the source reported
 	// for this table (virtual tables only): the chosen prompt decomposition
 	// and its per-strategy cost breakdown, surfaced by EXPLAIN.

@@ -28,7 +28,7 @@ func DefaultOptions() Options { return Options{LimitPushdown: true, BindJoin: tr
 // Optimize applies the rule pipeline: constant folding in filters, predicate
 // pushdown (into join sides and scans, turning cross joins with equality
 // predicates into hash joins), join-key extraction, projection pruning, and
-// limit-hint pushdown.
+// limit-hint pushdown, and marks the scans no LIMIT sits above.
 func Optimize(n Node) Node { return OptimizeOpts(n, DefaultOptions()) }
 
 // OptimizeOpts is Optimize with explicit rule options.
@@ -40,6 +40,7 @@ func OptimizeOpts(n Node, opts Options) Node {
 	if opts.LimitPushdown {
 		pushLimits(n)
 	}
+	markNoLimitAbove(n)
 	return n
 }
 
@@ -253,6 +254,22 @@ func pushLimits(n Node) {
 	for _, c := range n.Children() {
 		pushLimits(c)
 	}
+}
+
+// markNoLimitAbove sets ScanNode.NoLimitAbove on every scan of n, a tree
+// with no LimitNode above it, that has no LimitNode among its ancestors:
+// it descends until it meets a LimitNode and leaves that subtree
+// unmarked. The mark is structural, so it does not depend on
+// Options.LimitPushdown.
+func markNoLimitAbove(n Node) Node {
+	switch x := n.(type) {
+	case *ScanNode:
+		x.NoLimitAbove = true
+	case *LimitNode:
+		return n
+	}
+	replaceChildren(n, markNoLimitAbove)
+	return n
 }
 
 // pushLimitHint sinks an advisory row cap through operators that emit

@@ -16,10 +16,12 @@ type Value struct {
 	// null is folded into typ==TypeUnknown-with-notNull=false? No: we keep
 	// an explicit flag so NULLs retain their declared type where known.
 	notNull bool
-	i       int64
-	f       float64
-	s       string
-	b       bool
+	// b sits next to notNull so the two share one padded word: the struct
+	// is 48 bytes, not 56 (pinned by TestValueSize).
+	b bool
+	i int64
+	f float64
+	s string
 }
 
 // Null returns the untyped NULL value.

@@ -4,7 +4,16 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestValueSize pins the size of Value, the unit of every row, slab and
+// vote cell: its two flags share one padded word.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 48 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 48", n)
+	}
+}
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
 	if !Null().IsNull() {
